@@ -144,6 +144,10 @@ type Selector struct {
 	// wwin is the reusable per-worker window scratch of eachTraced, so
 	// traced parallel fan-outs allocate nothing per probe position.
 	wwin []workerWindow
+
+	// prefix is probePosition's gradient-ready snapshot, recaptured per
+	// position into the same buffers.
+	prefix timeline.Prefix
 }
 
 // NewSelector builds a selector with the full GPU candidate set C_gpu.
@@ -742,7 +746,9 @@ func (sel *Selector) sweepFrom(s *strategy.Strategy, rep *Report, parent int) (*
 			if tr != nil {
 				tsp = tr.BeginTensor(spPass, "probe", idx)
 			}
-			if err := sel.probePosition(engines, idx, probes, iters, tsp); err != nil {
+			// Only a probe strictly below the incumbent can win, so
+			// best bounds every probe of this position exactly.
+			if err := sel.probePosition(engines, idx, probes, iters, best, tsp); err != nil {
 				return nil, err
 			}
 			rep.Evals += len(probes)

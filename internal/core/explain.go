@@ -8,6 +8,7 @@ import (
 
 	"espresso/internal/obs/wtrace"
 	"espresso/internal/strategy"
+	"espresso/internal/timeline"
 )
 
 // This file implements the selector's opt-in decision log: a post-hoc
@@ -135,7 +136,8 @@ func (sel *Selector) explainDecisions(s *strategy.Strategy, rep *Report, parent 
 		if tr != nil {
 			tsp = tr.BeginTensor(spExplain, "re-probe", idx)
 		}
-		if err := sel.probePosition(engines, idx, probes, iters, tsp); err != nil {
+		// No bound: the log reports every candidate's exact F(S).
+		if err := sel.probePosition(engines, idx, probes, iters, timeline.NoBound, tsp); err != nil {
 			return err
 		}
 		rep.Evals += len(probes)

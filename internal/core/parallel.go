@@ -129,16 +129,28 @@ func (sel *Selector) bestOf(seeds []*strategy.Strategy, rep *Report, parent int)
 
 // probePosition evaluates every candidate option for tensor idx against
 // the fixed remainder of the strategy loaded into the pool engines, and
-// returns the per-candidate iteration times. The engines are left with
-// arbitrary options at idx; the caller must re-apply its decision to
-// every pool engine afterwards.
-func (sel *Selector) probePosition(engines []*timeline.Engine, idx int, probes []strategy.Option, iters []time.Duration, parent int) error {
+// returns the per-candidate iteration times. The candidates share one
+// gradient-ready snapshot of tensor idx, captured on engines[0] and
+// restored read-only by every worker, so each probe simulates only the
+// events after idx's backward kernel. A probe whose iteration time
+// reaches bound stops early and reports a value >= bound; times below
+// bound are exact (timeline.NoBound keeps every time exact). The
+// engines are left with arbitrary options at idx; the caller must
+// re-apply its decision to every pool engine afterwards.
+func (sel *Selector) probePosition(engines []*timeline.Engine, idx int, probes []strategy.Option, iters []time.Duration, bound time.Duration, parent int) error {
+	if len(probes) == 0 {
+		return nil
+	}
+	prefix := &sel.prefix
+	if err := engines[0].CapturePrefix(idx, prefix); err != nil {
+		return err
+	}
 	return sel.eachTraced(parent, "probe-worker", len(probes), len(engines), func(worker, i int) error {
 		eng := engines[worker]
 		if err := eng.SetOption(idx, probes[i]); err != nil {
 			return err
 		}
-		r, err := eng.Run()
+		r, err := eng.RunFrom(prefix, bound)
 		if err != nil {
 			return err
 		}

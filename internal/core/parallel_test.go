@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -64,9 +66,48 @@ func TestParallelSelectionMatchesSequential(t *testing.T) {
 	assertSameSelection(t, m.Name, seqS, parS, seqRep, parRep)
 }
 
+// zooGolden pins the Table-5 selections (NVLink x8, DGC 0.01) as the
+// full-run probe loop made them: the SHA-256 of the strategy's JSON, the
+// predicted F(S) in ns and the evaluation count. Parallel-vs-sequential
+// equality cannot catch a change that moves both paths at once; this
+// can, so any change to the probe path must keep these values.
+var zooGolden = map[string]struct {
+	sha   string
+	iter  time.Duration
+	evals int
+}{
+	"vgg16":     {"06a260bea23c142fc0985c17b36b34a52515b53eb498d0a278e0984307214508", 188319795, 17109},
+	"resnet101": {"72accef73d3e619d64e711e6662dd576c548e5ab6bbffc90262724951ccc2016", 180124831, 85660},
+	"ugatit":    {"53a3b916efc5173641b9f3843df2713994c242505c1a5166b83decc9150cc9b7", 454906882, 88024},
+	"bert-base": {"123d206af2144534aa675a3cf68f923c2790734d5d8e57092c91ea18cef825ae", 84453428, 70680},
+	"gpt2":      {"b2121c3ddc1c495fcd011b08c4804b0fa6aacfc0f9f90f9f6d2b18e241f2fd10", 102001233, 50447},
+	"lstm":      {"439957ca18cb05f4ce16fd3a4d6e34af9e908b8c673a646fa23bd767f26e9205", 141858891, 3341},
+}
+
+func assertZooGolden(t *testing.T, name string, s *strategy.Strategy, rep *Report) {
+	t.Helper()
+	want, ok := zooGolden[name]
+	if !ok {
+		t.Errorf("%s: no zoo golden", name)
+		return
+	}
+	buf, err := strategy.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sha := fmt.Sprintf("%x", sha256.Sum256(buf)); sha != want.sha {
+		t.Errorf("%s: strategy SHA-256 %s, golden %s", name, sha, want.sha)
+	}
+	if rep.Iter != want.iter || rep.Evals != want.evals {
+		t.Errorf("%s: F(S)=%d evals=%d, golden F(S)=%d evals=%d",
+			name, int64(rep.Iter), rep.Evals, int64(want.iter), want.evals)
+	}
+}
+
 // The same guarantee across every paper model — the acceptance bar for
-// the parallel search. Sequential-vs-parallel over six full selections
-// is minutes of work, so -short skips it.
+// the parallel search — plus the zoo golden above. Sequential-vs-parallel
+// over six full selections is tens of seconds of work, so -short skips
+// it.
 func TestParallelSelectionMatchesSequentialAllModels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full six-model parallel-vs-sequential sweep in -short mode")
@@ -77,8 +118,21 @@ func TestParallelSelectionMatchesSequentialAllModels(t *testing.T) {
 		seqS, seqRep := selectWith(t, m, c, cm, 1)
 		parS, parRep := selectWith(t, m, c, cm, testWorkers())
 		assertSameSelection(t, m.Name, seqS, parS, seqRep, parRep)
+		assertZooGolden(t, m.Name, seqS, seqRep)
 		t.Logf("%s: F(S)=%v evals=%d identical at parallelism %d", m.Name, parRep.Iter, parRep.Evals, testWorkers())
 	}
+}
+
+// A parallel selection on a zoo model, kept in -short mode so the CI
+// race pass runs it: every sweep position's workers restore the one
+// gradient-ready prefix captured on the master engine concurrently, and
+// the result must still be the golden sequential selection.
+func TestParallelZooSelectionMatchesGolden(t *testing.T) {
+	m := model.VGG16()
+	c := cluster.NVLinkTestbed(8)
+	cm := cost.MustModels(c, dgc())
+	s, rep := selectWith(t, m, c, cm, testWorkers())
+	assertZooGolden(t, m.Name, s, rep)
 }
 
 // Parallel selection with an attached metrics registry: the search.*

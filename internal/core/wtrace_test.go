@@ -7,6 +7,7 @@ import (
 	"espresso/internal/cluster"
 	"espresso/internal/cost"
 	"espresso/internal/obs/wtrace"
+	"espresso/internal/timeline"
 )
 
 // TestTracedSelectPhaseTree runs a full traced selection and checks the
@@ -161,11 +162,11 @@ func TestUntracedProbeLoopDoesNotAllocate(t *testing.T) {
 	iters := make([]time.Duration, len(probes))
 
 	// Warm up once so lazily-built memo tables do not count.
-	if err := sel.probePosition(engines, 0, probes, iters, wtrace.NoParent); err != nil {
+	if err := sel.probePosition(engines, 0, probes, iters, timeline.NoBound, wtrace.NoParent); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := sel.probePosition(engines, 0, probes, iters, wtrace.NoParent); err != nil {
+		if err := sel.probePosition(engines, 0, probes, iters, timeline.NoBound, wtrace.NoParent); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -8,6 +8,7 @@ import (
 	"espresso/internal/core"
 	"espresso/internal/cost"
 	"espresso/internal/model"
+	"espresso/internal/obs/wtrace"
 	"espresso/internal/runmeta"
 )
 
@@ -21,8 +22,14 @@ type BenchModel struct {
 
 	SelectionTimeUs float64 `json:"selection_time_us"`
 	Evals           int     `json:"evals"`
-	Compressed      int     `json:"compressed_tensors"`
-	Offloaded       int     `json:"offloaded_tensors"`
+	// NsPerEval is the selection wall time over Evals: the mean cost of
+	// one F(S) evaluation, amortized over every phase.
+	NsPerEval float64 `json:"ns_per_eval"`
+	// PhaseMs splits the selection wall time by selector phase (seed,
+	// sweep, offload, alt, finalize) in milliseconds.
+	PhaseMs    map[string]float64 `json:"phase_ms"`
+	Compressed int                `json:"compressed_tensors"`
+	Offloaded  int                `json:"offloaded_tensors"`
 
 	PredictedIterUs float64 `json:"predicted_iter_us"`
 	FP32IterUs      float64 `json:"fp32_iter_us"`
@@ -45,10 +52,12 @@ type BenchSummary struct {
 
 // Summary selects a strategy for every benchmark model on the NVLink
 // testbed with DGC (the Table 5 configuration) and reports selection
-// effort and predicted speedup over FP32 per model.
+// effort — evaluations, ns per evaluation, per-phase wall time — and
+// predicted speedup over FP32 per model.
 func Summary() (*BenchSummary, error) {
 	const machines = 8
 	start := time.Now()
+	tracer := wtrace.New()
 	out := &BenchSummary{
 		Meta:      runmeta.Collect(),
 		Testbed:   NVLink.Name,
@@ -63,7 +72,11 @@ func Summary() (*BenchSummary, error) {
 		}
 		sel := core.NewSelector(m, c, cm)
 		sel.Parallelism = parallelism
+		req := tracer.Start("select")
+		sel.Trace = req
 		_, rep, err := sel.Select()
+		phases := wtrace.PhaseDurations(req.Spans())
+		req.Release()
 		if err != nil {
 			return nil, err
 		}
@@ -80,6 +93,13 @@ func Summary() (*BenchSummary, error) {
 			Offloaded:       rep.Offloaded,
 			PredictedIterUs: us(rep.Iter),
 			FP32IterUs:      us(fp32),
+			PhaseMs:         make(map[string]float64, len(phases)),
+		}
+		if rep.Evals > 0 {
+			bm.NsPerEval = float64(rep.SelectionTime) / float64(rep.Evals)
+		}
+		for name, d := range phases {
+			bm.PhaseMs[name] = float64(d) / 1e6
 		}
 		if rep.Iter > 0 {
 			bm.Speedup = float64(fp32) / float64(rep.Iter)

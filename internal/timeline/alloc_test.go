@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"testing"
+	"time"
 
 	"espresso/internal/cluster"
 	"espresso/internal/strategy"
@@ -82,6 +83,49 @@ func TestProbeLoopDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("SetOption+Run probe loop allocated %.1f/op, want 0", allocs)
+	}
+}
+
+// The incremental probe — SetOption + RunFrom from a captured prefix,
+// what the greedy sweep runs per candidate — is as allocation-free as
+// the full-run probe it replaces, bounded or not.
+func TestRunFromDoesNotAllocate(t *testing.T) {
+	e, s, plain, compressed := hotLoopEngine(t)
+	last := len(s.PerTensor) - 1
+	var p Prefix
+	if err := e.CapturePrefix(last, &p); err != nil {
+		t.Fatal(err)
+	}
+	opts := [2]strategy.Option{compressed, plain}
+	for _, opt := range opts {
+		if err := e.SetOption(last, opt); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.RunFrom(&p, NoBound); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, bound := range []time.Duration{NoBound, 0} {
+		round := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := e.SetOption(last, opts[round&1]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.RunFrom(&p, bound); err != nil {
+				t.Fatal(err)
+			}
+			round++
+		})
+		if allocs != 0 {
+			t.Fatalf("SetOption+RunFrom (bound %v) allocated %.1f/op, want 0", bound, allocs)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := e.CapturePrefix(last, &p); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("CapturePrefix into a warm Prefix allocated %.1f/op, want 0", allocs)
 	}
 }
 
@@ -222,6 +266,37 @@ func BenchmarkProbeLoop(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkProbeFromPrefix is BenchmarkProbeLoop on the incremental
+// path: the last tensor's candidates swap in and resume from its
+// gradient-ready snapshot, simulating only the events after it.
+func BenchmarkProbeFromPrefix(b *testing.B) {
+	e, s, plain, compressed := hotLoopEngine(b)
+	last := len(s.PerTensor) - 1
+	var p Prefix
+	if err := e.CapturePrefix(last, &p); err != nil {
+		b.Fatal(err)
+	}
+	opts := [2]strategy.Option{compressed, plain}
+	for _, opt := range opts {
+		if err := e.SetOption(last, opt); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.RunFrom(&p, NoBound); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.SetOption(last, opts[i&1]); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.RunFrom(&p, NoBound); err != nil {
 			b.Fatal(err)
 		}
 	}

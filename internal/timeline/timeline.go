@@ -13,6 +13,7 @@ package timeline
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 
@@ -191,6 +192,11 @@ type Engine struct {
 	queues    [numResources]jobQueue
 	busyUntil [numResources]time.Duration
 	cur       [numResources]leanJob
+	// now, lastDone and done are the event loop's clock, latest tensor
+	// completion and completed-tensor count, kept on the engine so a
+	// paused loop can be captured (CapturePrefix) and resumed (RunFrom).
+	now, lastDone time.Duration
+	done          int
 
 	// chainMemo caches derived chains by (tensor bytes, option identity):
 	// chains depend on nothing else for a fixed engine configuration, and
@@ -387,7 +393,8 @@ func (e *Engine) memoChain(i int, opt strategy.Option) ([]jobSpec, error) {
 //
 // With RecordOps off — the decision loop's configuration — the returned
 // Result is the engine's own reusable scratch: it is valid until the next
-// Run/RunInto on this engine, which keeps the probe loop allocation-free.
+// Run/RunInto/CapturePrefix/RunFrom on this engine, which keeps the probe
+// loop allocation-free.
 // Callers that need the Result to outlive the next evaluation must copy
 // it (or run with RecordOps on, which returns a fresh Result).
 func (e *Engine) Run() (*Result, error) {
@@ -415,8 +422,106 @@ func (e *Engine) Run() (*Result, error) {
 // backing array — the pooled-scratch entry point for callers that
 // evaluate in a loop (the bubble-analysis pass of the greedy sweep).
 func (e *Engine) RunInto(res *Result) error {
-	total := len(e.M.Tensors)
+	e.start(res)
+	e.loop(res, e.RecordOps, noStop, NoBound)
+	return e.finish(res)
+}
 
+// NoBound disables RunFrom's cutoff: the run always completes and
+// reports the exact iteration time.
+const NoBound = time.Duration(math.MaxInt64)
+
+// noStop is a stop priority no job carries (jobPrio is never negative),
+// so loop never pauses for a prefix capture.
+const noStop = -1
+
+// Prefix is a snapshot of the event loop at the instant tensor i's
+// gradient is ready: the moment its backward kernel completes, taken
+// before any completion at that instant is processed. Nothing before
+// that instant reads tensor i's pipeline — the kernel's priority does
+// not depend on the option, and every earlier event belongs to tensors
+// before i — so every candidate option for tensor i shares the snapshot
+// and RunFrom re-simulates only what follows it. A Prefix is read-only
+// once captured; engines of the same configuration may RunFrom it
+// concurrently.
+type Prefix struct {
+	queues    [numResources][]leanJob
+	busyUntil [numResources]time.Duration
+	cur       [numResources]leanJob
+	resBusy   [numResources]time.Duration
+	now       time.Duration
+	lastDone  time.Duration
+	done      int
+}
+
+// CapturePrefix simulates the loaded strategy up to the instant tensor
+// i's backward kernel completes and saves the event loop's state into p,
+// reusing p's buffers. It invalidates the engine's scratch Result like
+// Run does.
+func (e *Engine) CapturePrefix(i int, p *Prefix) error {
+	total := len(e.M.Tensors)
+	if i < 0 || i >= total {
+		return fmt.Errorf("timeline: prefix tensor %d out of range [0,%d)", i, total)
+	}
+	if len(e.chains) != total {
+		return fmt.Errorf("timeline: CapturePrefix before Prepare")
+	}
+	res := &e.resScratch
+	e.start(res)
+	if e.loop(res, false, jobPrio(i, 0, -1), NoBound) < 0 {
+		return fmt.Errorf("timeline: tensor %d's backward kernel never completed", i)
+	}
+	for r := range e.queues {
+		q := &e.queues[r]
+		p.queues[r] = append(p.queues[r][:0], q.buf[:q.n]...)
+	}
+	p.busyUntil, p.cur, p.resBusy = e.busyUntil, e.cur, res.ResBusy
+	p.now, p.lastDone, p.done = e.now, e.lastDone, e.done
+	return nil
+}
+
+// RunFrom restores p and simulates the rest of the iteration under the
+// loaded strategy. The result equals Run's in Iter, Makespan and ResBusy
+// provided every tensor before the captured one still has the option it
+// had at capture and the engine's configuration (ZeroCompression,
+// ComputeScale) matches the capturing engine's; options of the captured
+// tensor and later ones are free to differ.
+//
+// bound is an exact cutoff: once the iteration time is known to be at
+// least bound — the forward pass plus the current instant reaches it
+// while tensors remain — the run stops and reports that lower bound as
+// Iter (Makespan and ResBusy are then partial). An iteration time below
+// bound is always reported exactly. Pass NoBound for the exact value.
+//
+// RunFrom never records ops, and returns the engine's scratch Result
+// with Run's validity rules.
+func (e *Engine) RunFrom(p *Prefix, bound time.Duration) (*Result, error) {
+	res := &e.resScratch
+	res.Ops = res.Ops[:0]
+	res.ResBusy = p.resBusy
+	for r := range e.queues {
+		q, src := &e.queues[r], p.queues[r]
+		if n := copy(q.buf, src); n < len(src) {
+			q.buf = append(q.buf, src[n:]...)
+		}
+		q.n = len(src)
+	}
+	e.busyUntil, e.cur = p.busyUntil, p.cur
+	e.now, e.lastDone, e.done = p.now, p.lastDone, p.done
+	if at := e.loop(res, false, noStop, bound); at >= 0 {
+		res.Makespan = at
+		res.Iter = e.scaleCompute(e.M.Forward) + at
+		return res, nil
+	}
+	if err := e.finish(res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// start resets the event loop for a full run: every backward kernel is
+// queued at t=0 and the idle resources take their first jobs.
+func (e *Engine) start(res *Result) {
 	res.Makespan = 0
 	res.Iter = 0
 	res.Ops = res.Ops[:0]
@@ -426,6 +531,7 @@ func (e *Engine) RunInto(res *Result) error {
 		e.busyUntil[r] = -1
 		e.cur[r] = leanJob{}
 	}
+	e.now, e.lastDone, e.done = 0, 0, 0
 
 	// Backward kernels for every tensor are ready at t=0; GPU priority
 	// order runs them in index order, with GPU compression of earlier
@@ -434,27 +540,38 @@ func (e *Engine) RunInto(res *Result) error {
 		e.push(ResGPU, leanJob{prio: jobPrio(i, 0, -1), ready: 0,
 			dur: e.scaleCompute(e.M.Tensors[i].Compute)})
 	}
+	e.dispatch(1<<numResources-1, 0)
+}
 
-	var now, finish time.Duration
-	done := 0
-	// dispatch checks only the resources in mask — a resource's
-	// (idle, queue-nonempty) state changes solely when it completes a
-	// job or receives a push, and the event loop marks exactly those
-	// dirty, so every idle resource outside the mask is known to have an
-	// empty queue. Ascending resource order matches a full scan.
-	dispatch := func(mask uint32) {
-		for mask != 0 {
-			r := bits.TrailingZeros32(mask)
-			mask &^= 1 << r
-			if e.busyUntil[r] < 0 && e.queues[r].n > 0 {
-				j := e.pop(Resource(r))
-				j.start = now
-				e.cur[r] = j
-				e.busyUntil[r] = now + j.dur
-			}
+// dispatch starts the next queued job on every idle resource in mask. A
+// resource's (idle, queue-nonempty) state changes solely when it
+// completes a job or receives a push, and the event loop marks exactly
+// those dirty, so every idle resource outside the mask is known to have
+// an empty queue. Ascending resource order matches a full scan.
+func (e *Engine) dispatch(mask uint32, now time.Duration) {
+	for mask != 0 {
+		r := bits.TrailingZeros32(mask)
+		mask &^= 1 << r
+		if e.busyUntil[r] < 0 && e.queues[r].n > 0 {
+			j := e.pop(Resource(r))
+			j.start = now
+			e.cur[r] = j
+			e.busyUntil[r] = now + j.dur
 		}
 	}
-	dispatch(1<<numResources - 1)
+}
+
+// loop is the event loop. It runs until every resource is idle and
+// returns -1, or pauses before processing the instant at which either
+// the GPU completes the job with priority stop (a prefix capture) or the
+// iteration time is known to reach bound, and returns that instant. The
+// loop state lives in the engine between calls, so a paused loop can be
+// saved and resumed.
+func (e *Engine) loop(res *Result, record bool, stop int64, bound time.Duration) time.Duration {
+	now, last, done := e.now, e.lastDone, e.done
+	// The iteration ends no earlier than any pending completion, so
+	// reaching limit proves Iter >= bound.
+	limit := bound - e.scaleCompute(e.M.Forward)
 	for {
 		// Find the earliest completion.
 		next := time.Duration(-1)
@@ -463,8 +580,9 @@ func (e *Engine) RunInto(res *Result) error {
 				next = e.busyUntil[r]
 			}
 		}
-		if next < 0 {
-			break
+		if next < 0 || next >= limit || (e.busyUntil[ResGPU] == next && e.cur[ResGPU].prio == stop) {
+			e.now, e.lastDone, e.done = now, last, done
+			return next
 		}
 		now = next
 		// Complete everything finishing at this instant before
@@ -478,7 +596,7 @@ func (e *Engine) RunInto(res *Result) error {
 			e.busyUntil[r] = -1
 			dirty |= 1 << r
 			tensor := jobTensor(j.prio)
-			if e.RecordOps {
+			if record {
 				res.Ops = append(res.Ops, Op{
 					Tensor: int(tensor), Step: jobStep(j.prio),
 					Res:  Resource(r),
@@ -490,8 +608,8 @@ func (e *Engine) RunInto(res *Result) error {
 			nextJob := jobIndex(j.prio) + 1
 			if nextJob >= len(chain) {
 				done++
-				if now > finish {
-					finish = now
+				if now > last {
+					last = now
 				}
 				continue
 			}
@@ -502,13 +620,17 @@ func (e *Engine) RunInto(res *Result) error {
 			})
 			dirty |= 1 << uint(spec.res)
 		}
-		dispatch(dirty)
+		e.dispatch(dirty, now)
 	}
-	if done != total {
-		return fmt.Errorf("timeline: %d of %d tensors completed (pipeline deadlock)", done, total)
+}
+
+// finish checks a completed loop and stamps the result.
+func (e *Engine) finish(res *Result) error {
+	if total := len(e.M.Tensors); e.done != total {
+		return fmt.Errorf("timeline: %d of %d tensors completed (pipeline deadlock)", e.done, total)
 	}
-	res.Makespan = finish
-	res.Iter = e.scaleCompute(e.M.Forward) + finish
+	res.Makespan = e.lastDone
+	res.Iter = e.scaleCompute(e.M.Forward) + e.lastDone
 	return nil
 }
 
