@@ -20,12 +20,9 @@ import (
 	"time"
 
 	"espresso/internal/baselines"
-	"espresso/internal/cluster"
-	"espresso/internal/compress"
 	"espresso/internal/core"
-	"espresso/internal/cost"
+	"espresso/internal/job"
 	"espresso/internal/logx"
-	"espresso/internal/model"
 	"espresso/internal/obs"
 	"espresso/internal/obs/analyze"
 	"espresso/internal/par"
@@ -80,21 +77,39 @@ func main() {
 		}
 		fmt.Printf("loaded %d spans from %s\n", len(spans), *traceF)
 	} else {
-		m, c, cm, err := resolve(*modelF, *clusterF, *machines, *gpus, *algo, *ratio)
+		cs, err := job.Resolve(job.Job{
+			Model:       job.ModelSpec{Preset: *modelF},
+			Cluster:     job.ClusterSpec{Preset: *clusterF, Machines: *machines, GPUsPerMachine: *gpus},
+			Algorithm:   job.AlgorithmSpec{Name: *algo, Ratio: *ratio},
+			Parallelism: par.Workers(*parallel),
+			Explain:     *explain,
+		})
 		if err != nil {
 			fatal(err)
 		}
-		s, r, err := pick(*system, m, c, cm, *parallel, *explain)
-		if err != nil {
-			fatal(err)
-		}
-		rep = r
-		if rep != nil {
+		m := cs.Model
+		var s *strategy.Strategy
+		if *system == "espresso" {
+			sel, err := cs.Selector()
+			if err != nil {
+				fatal(err)
+			}
+			if s, rep, err = sel.Select(); err != nil {
+				fatal(err)
+			}
 			fmt.Printf("selected strategy in %v: %d/%d tensors compressed, %d offloaded, %d ruled out\n",
 				rep.SelectionTime, rep.Compressed, m.NumTensors(), rep.Offloaded, rep.Ruled)
+		} else {
+			sys, err := baselines.ByName(*system)
+			if err != nil {
+				fatal(err)
+			}
+			if s, err = baselines.Strategy(sys, m, cs.Cluster, cs.Costs); err != nil {
+				fatal(err)
+			}
 		}
 
-		eng := timeline.New(m, c, cm)
+		eng := timeline.New(m, cs.Cluster, cs.Costs)
 		res, err := eng.Evaluate(s)
 		if err != nil {
 			fatal(err)
@@ -144,56 +159,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("\nwrote analysis to %s\n", *analysis)
-	}
-}
-
-// resolve builds the internal job representation from the flag values.
-func resolve(modelF, clusterF string, machines, gpus int, algo string, ratio float64) (*model.Model, *cluster.Cluster, *cost.Models, error) {
-	m, err := model.ByName(modelF)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var c *cluster.Cluster
-	switch clusterF {
-	case "nvlink":
-		c = cluster.NVLinkTestbed(machines)
-	case "pcie":
-		c = cluster.PCIeTestbed(machines)
-	default:
-		return nil, nil, nil, fmt.Errorf("unknown cluster preset %q", clusterF)
-	}
-	if gpus > 0 {
-		c.GPUsPerMachine = gpus
-	}
-	id, err := compress.ParseID(algo)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	cm, err := cost.NewModels(c, compress.Spec{ID: id, Ratio: ratio})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return m, c, cm, nil
-}
-
-// pick selects the strategy for the requested system. The report is nil
-// for baseline systems (they make no selection).
-func pick(system string, m *model.Model, c *cluster.Cluster, cm *cost.Models, parallel int, explain bool) (*strategy.Strategy, *core.Report, error) {
-	switch system {
-	case "espresso":
-		sel := core.NewSelector(m, c, cm)
-		sel.Parallelism = par.Workers(parallel)
-		sel.Explain = explain
-		return sel.Select()
-	case "fp32", "hipress", "hitopkcomm", "bytepscompress":
-		sys := map[string]baselines.System{
-			"fp32": baselines.FP32, "hipress": baselines.HiPress,
-			"hitopkcomm": baselines.HiTopKComm, "bytepscompress": baselines.BytePSCompress,
-		}[system]
-		s, err := baselines.Strategy(sys, m, c, cm)
-		return s, nil, err
-	default:
-		return nil, nil, fmt.Errorf("unknown system %q", system)
 	}
 }
 

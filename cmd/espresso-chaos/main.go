@@ -30,12 +30,8 @@ import (
 	"strings"
 
 	"espresso/internal/chaos"
-	"espresso/internal/cluster"
-	"espresso/internal/compress"
-	"espresso/internal/core"
-	"espresso/internal/cost"
+	"espresso/internal/job"
 	"espresso/internal/logx"
-	"espresso/internal/model"
 	"espresso/internal/par"
 	"espresso/internal/strategy"
 )
@@ -72,35 +68,21 @@ func main() {
 	flag.Parse()
 	log = logf.Logger()
 
-	m, err := model.ByName(*modelF)
-	if err != nil {
-		fatal(err)
-	}
-	var c *cluster.Cluster
-	switch *clusterF {
-	case "nvlink":
-		c = cluster.NVLinkTestbed(*machines)
-	case "pcie":
-		c = cluster.PCIeTestbed(*machines)
-	default:
-		fatal(fmt.Errorf("unknown cluster preset %q", *clusterF))
-	}
-	if *gpus > 0 {
-		c.GPUsPerMachine = *gpus
-	}
-	id, err := compress.ParseID(*algo)
-	if err != nil {
-		fatal(err)
-	}
-	spec := compress.Spec{ID: id, Ratio: *ratio}
-	cm, err := cost.NewModels(c, spec)
+	cs, err := job.Resolve(job.Job{
+		Model:       job.ModelSpec{Preset: *modelF},
+		Cluster:     job.ClusterSpec{Preset: *clusterF, Machines: *machines, GPUsPerMachine: *gpus},
+		Algorithm:   job.AlgorithmSpec{Name: *algo, Ratio: *ratio},
+		Parallelism: par.Workers(*parallel),
+	})
 	if err != nil {
 		fatal(err)
 	}
 
 	// The healthy incumbent, selected once.
-	sel := core.NewSelector(m, c, cm)
-	sel.Parallelism = par.Workers(*parallel)
+	sel, err := cs.Selector()
+	if err != nil {
+		fatal(err)
+	}
 	healthy, rep, err := sel.Select()
 	if err != nil {
 		fatal(err)
@@ -108,7 +90,7 @@ func main() {
 	fmt.Printf("healthy strategy: iteration %v, shape %s\n\n", rep.Iter, chaos.ShapeOf(healthy))
 
 	if *planF != "" {
-		runPlan(m, c, spec, healthy, *planF, *iters, *reportF, *determin, *policyF, par.Workers(*parallel))
+		runPlan(cs, healthy, *planF, *iters, *reportF, *determin, *policyF)
 		return
 	}
 
@@ -120,9 +102,9 @@ func main() {
 		if err != nil || sev < 1 {
 			fatal(fmt.Errorf("bad severity %q (want >= 1)", tok))
 		}
-		_, rs, err := chaos.Reselect(m, c, spec, healthy, chaos.ReselectOptions{
+		_, rs, err := chaos.Reselect(cs.Model, cs.Cluster, cs.Spec, healthy, chaos.ReselectOptions{
 			InterScale:  1 / sev,
-			Parallelism: par.Workers(*parallel),
+			Parallelism: cs.Job.Parallelism,
 		})
 		if err != nil {
 			fatal(err)
@@ -149,8 +131,8 @@ func main() {
 // on the faulted network, membership changes reconfigure per the plan's
 // policy, and the full report (samples, membership events, fault
 // statistics) is printed and optionally written.
-func runPlan(m *model.Model, c *cluster.Cluster, spec compress.Spec, s *strategy.Strategy,
-	planPath string, iters int, reportPath string, deterministic bool, policy string, workers int) {
+func runPlan(cs *job.Case, s *strategy.Strategy,
+	planPath string, iters int, reportPath string, deterministic bool, policy string) {
 	plan, err := chaos.Load(planPath)
 	if err != nil {
 		fatal(err)
@@ -161,11 +143,11 @@ func runPlan(m *model.Model, c *cluster.Cluster, spec compress.Spec, s *strategy
 			fatal(err)
 		}
 	}
-	runner, err := chaos.NewRunner(m, c, spec, s, plan)
+	runner, err := chaos.NewRunner(cs.Model, cs.Cluster, cs.Spec, s, plan)
 	if err != nil {
 		fatal(err)
 	}
-	runner.Parallelism = workers
+	runner.Parallelism = cs.Job.Parallelism
 	runner.Deterministic = deterministic
 
 	writeReport := func() {

@@ -8,7 +8,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -19,13 +18,10 @@ import (
 
 	"espresso/internal/baselines"
 	"espresso/internal/chaos"
-	"espresso/internal/cluster"
-	"espresso/internal/compress"
 	"espresso/internal/core"
-	"espresso/internal/cost"
 	"espresso/internal/ddl"
+	"espresso/internal/job"
 	"espresso/internal/logx"
-	"espresso/internal/model"
 	"espresso/internal/netsim"
 	"espresso/internal/obs"
 	"espresso/internal/obs/analyze"
@@ -34,23 +30,6 @@ import (
 	"espresso/internal/strategy"
 	"espresso/internal/timeline"
 )
-
-// jobConfig mirrors the job-description JSON of configs/ (the same shape
-// espresso.Job unmarshals); fields present override the flags.
-type jobConfig struct {
-	Model struct {
-		Preset string `json:"preset"`
-	} `json:"model"`
-	Cluster struct {
-		Preset         string `json:"preset"`
-		Machines       int    `json:"machines"`
-		GPUsPerMachine int    `json:"gpus_per_machine"`
-	} `json:"cluster"`
-	Algorithm struct {
-		Name  string  `json:"name"`
-		Ratio float64 `json:"ratio"`
-	} `json:"algorithm"`
-}
 
 // log carries the CLI's structured stderr diagnostics; built in main
 // from the shared -log-level/-log-json flags.
@@ -61,7 +40,7 @@ func main() {
 		modelF     = flag.String("model", "lstm", "model preset")
 		clusterF   = flag.String("cluster", "nvlink", "cluster preset (nvlink, pcie)")
 		machines   = flag.Int("machines", 2, "GPU machines")
-		gpus       = flag.Int("gpus", 2, "GPUs per machine (kept small: the data plane moves real bytes)")
+		gpus       = flag.Int("gpus", 2, "GPUs per machine (0 = preset default; kept small: the data plane moves real bytes)")
 		algo       = flag.String("algo", "dgc", "GC algorithm")
 		ratio      = flag.Float64("ratio", 0.01, "sparsifier ratio")
 		system     = flag.String("system", "espresso", "espresso|fp32|hipress|hitopkcomm|bytepscompress")
@@ -84,58 +63,25 @@ func main() {
 	flag.Parse()
 	log = logf.Logger()
 
+	// A job file is the whole job; the spec flags describe one otherwise.
+	// -parallel and -explain steer the search either way.
+	j := job.Job{
+		Model:     job.ModelSpec{Preset: *modelF},
+		Cluster:   job.ClusterSpec{Preset: *clusterF, Machines: *machines, GPUsPerMachine: *gpus},
+		Algorithm: job.AlgorithmSpec{Name: *algo, Ratio: *ratio},
+	}
 	if *jobF != "" {
-		data, err := os.ReadFile(*jobF)
-		if err != nil {
+		var err error
+		if j, err = job.Load(*jobF); err != nil {
 			fatal(err)
 		}
-		var jc jobConfig
-		if err := json.Unmarshal(data, &jc); err != nil {
-			fatal(fmt.Errorf("parsing %s: %w", *jobF, err))
-		}
-		if jc.Model.Preset != "" {
-			*modelF = jc.Model.Preset
-		}
-		if jc.Cluster.Preset != "" {
-			*clusterF = jc.Cluster.Preset
-		}
-		if jc.Cluster.Machines > 0 {
-			*machines = jc.Cluster.Machines
-		}
-		if jc.Cluster.GPUsPerMachine > 0 {
-			*gpus = jc.Cluster.GPUsPerMachine
-		}
-		if jc.Algorithm.Name != "" {
-			*algo = jc.Algorithm.Name
-		}
-		if jc.Algorithm.Ratio > 0 {
-			*ratio = jc.Algorithm.Ratio
-		}
 	}
-
-	m, err := model.ByName(*modelF)
+	j.Parallelism, j.Explain = par.Workers(*parallel), *explain
+	cs, err := job.Resolve(j)
 	if err != nil {
 		fatal(err)
 	}
-	var c *cluster.Cluster
-	switch *clusterF {
-	case "nvlink":
-		c = cluster.NVLinkTestbed(*machines)
-	case "pcie":
-		c = cluster.PCIeTestbed(*machines)
-	default:
-		fatal(fmt.Errorf("unknown cluster preset %q", *clusterF))
-	}
-	c.GPUsPerMachine = *gpus
-	id, err := compress.ParseID(*algo)
-	if err != nil {
-		fatal(err)
-	}
-	spec := compress.Spec{ID: id, Ratio: *ratio}
-	cm, err := cost.NewModels(c, spec)
-	if err != nil {
-		fatal(err)
-	}
+	m, c, spec := cs.Model, cs.Cluster, cs.Spec
 
 	// Telemetry sinks, active when either output flag is set. The
 	// analyzer consumes the span stream too, so -analyze-out implies a
@@ -161,15 +107,14 @@ func main() {
 
 	// Pick the strategy.
 	var s *strategy.Strategy
-	switch *system {
-	case "espresso":
-		sel := core.NewSelector(m, c, cm)
-		sel.Parallelism = par.Workers(*parallel)
-		sel.Obs = metrics
-		sel.Explain = *explain
-		var rep *core.Report
-		s, rep, err = sel.Select()
+	if *system == "espresso" {
+		sel, err := cs.Selector()
 		if err != nil {
+			fatal(err)
+		}
+		sel.Obs = metrics
+		var rep *core.Report
+		if s, rep, err = sel.Select(); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("selected strategy in %v: %d/%d tensors compressed, %d offloaded\n",
@@ -177,20 +122,18 @@ func main() {
 		if len(rep.Decisions) > 0 {
 			core.WriteDecisions(os.Stdout, rep.Decisions)
 		}
-	case "fp32", "hipress", "hitopkcomm", "bytepscompress":
-		sys := map[string]baselines.System{
-			"fp32": baselines.FP32, "hipress": baselines.HiPress,
-			"hitopkcomm": baselines.HiTopKComm, "bytepscompress": baselines.BytePSCompress,
-		}[*system]
-		if s, err = baselines.Strategy(sys, m, c, cm); err != nil {
+	} else {
+		sys, err := baselines.ByName(*system)
+		if err != nil {
 			fatal(err)
 		}
-	default:
-		fatal(fmt.Errorf("unknown system %q", *system))
+		if s, err = baselines.Strategy(sys, m, c, cs.Costs); err != nil {
+			fatal(err)
+		}
 	}
 
 	// Derive the timeline.
-	eng := timeline.New(m, c, cm)
+	eng := timeline.New(m, c, cs.Costs)
 	res, err := eng.Evaluate(s)
 	if err != nil {
 		fatal(err)
@@ -232,8 +175,8 @@ func main() {
 		if runner, err = chaos.NewRunner(m, c, spec, s, plan); err != nil {
 			fatal(err)
 		}
-		runner.Parallelism = par.Workers(*parallel)
-		runner.Explain = *explain
+		runner.Parallelism = j.Parallelism
+		runner.Explain = j.Explain
 		runner.Trace = trace
 		runner.Metrics = metrics
 		runner.Deterministic = *chaosDet

@@ -15,9 +15,8 @@ import (
 	"os"
 	"time"
 
-	"espresso/internal/compress"
+	"espresso/internal/job"
 	"espresso/internal/logx"
-	"espresso/internal/model"
 	"espresso/internal/obs"
 	"espresso/internal/trace"
 )
@@ -42,10 +41,14 @@ func main() {
 	flag.Parse()
 	log = logf.Logger()
 
-	m, err := model.ByName(*modelF)
+	cs, err := job.Resolve(job.Job{
+		Model:     job.ModelSpec{Preset: *modelF},
+		Algorithm: job.AlgorithmSpec{Name: *algo, Ratio: *ratio},
+	})
 	if err != nil {
 		fatal(err)
 	}
+	m, spec := cs.Model, cs.Spec
 
 	stats := trace.CollectCompute(m, *iters, *jitter, 1)
 	fmt.Printf("traced %s over %d iterations (noise ±%.0f%%):\n", m.Name, *iters, 100**jitter)
@@ -63,11 +66,6 @@ func main() {
 		fmt.Printf("  %12d elems x %d tensors\n", sc.Elems, sc.Count)
 	}
 
-	id, err := compress.ParseID(*algo)
-	if err != nil {
-		fatal(err)
-	}
-	spec := compress.Spec{ID: id, Ratio: *ratio}
 	sizes := []int{1 << 12, 1 << 16, 1 << 20, 1 << 22}
 	samples, err := trace.ProfileCompression(spec, sizes, *reps)
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 	"os"
 
 	"espresso"
+	"espresso/internal/job"
 	"espresso/internal/logx"
 )
 
@@ -45,20 +46,16 @@ func main() {
 	flag.Parse()
 	log = logf.Logger()
 
-	var job espresso.Job
+	// A job file is the whole job; the spec flags describe one otherwise.
+	j := espresso.Job{
+		Model:     espresso.ModelSpec{Preset: *modelF},
+		Cluster:   espresso.ClusterSpec{Preset: *clusterF, Machines: *machines, GPUsPerMachine: *gpus},
+		Algorithm: espresso.AlgorithmSpec{Name: *algo, Ratio: *ratio},
+	}
 	if *jobFile != "" {
-		buf, err := os.ReadFile(*jobFile)
-		if err != nil {
+		var err error
+		if j, err = job.Load(*jobFile); err != nil {
 			fatal(err)
-		}
-		if err := json.Unmarshal(buf, &job); err != nil {
-			fatal(fmt.Errorf("parsing %s: %w", *jobFile, err))
-		}
-	} else {
-		job = espresso.Job{
-			Model:     espresso.ModelSpec{Preset: *modelF},
-			Cluster:   espresso.ClusterSpec{Preset: *clusterF, Machines: *machines, GPUsPerMachine: *gpus},
-			Algorithm: espresso.AlgorithmSpec{Name: *algo, Ratio: *ratio},
 		}
 	}
 
@@ -69,15 +66,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if strategy, err = espresso.ImportStrategy(job, buf); err != nil {
+		if strategy, err = espresso.ImportStrategy(j, buf); err != nil {
 			fatal(err)
 		}
-		if report, err = espresso.Predict(job, strategy); err != nil {
+		if report, err = espresso.Predict(j, strategy); err != nil {
 			fatal(err)
 		}
 	} else {
 		var err error
-		if strategy, report, err = espresso.Select(job); err != nil {
+		if strategy, report, err = espresso.Select(j); err != nil {
 			fatal(err)
 		}
 	}
@@ -104,12 +101,12 @@ func main() {
 		return
 	}
 
-	modelName := job.Model.Preset
+	modelName := j.Model.Preset
 	if modelName == "" {
-		modelName = job.Model.Name
+		modelName = j.Model.Name
 	}
 	fmt.Printf("Espresso strategy for %s on %s x%d (%s)\n",
-		modelName, job.Cluster.Preset, job.Cluster.Machines, job.Algorithm.Name)
+		modelName, j.Cluster.Preset, j.Cluster.Machines, j.Algorithm.Name)
 	fmt.Printf("  selection time:     %v (%d timeline evaluations)\n", report.SelectionTime, report.Evaluations)
 	fmt.Printf("  predicted iteration: %v\n", report.IterTime)
 	fmt.Printf("  throughput:          %.0f %s (scaling factor %.2f)\n", report.Throughput, report.Unit, report.ScalingFactor)
@@ -119,14 +116,14 @@ func main() {
 	if *compare {
 		fmt.Println("\nComparison:")
 		for _, name := range []espresso.BaselineName{espresso.FP32, espresso.BytePSCompress, espresso.HiTopKComm, espresso.HiPress} {
-			_, brep, err := espresso.Baseline(name, job)
+			_, brep, err := espresso.Baseline(name, j)
 			if err != nil {
 				fatal(err)
 			}
 			fmt.Printf("  %-16s %10.0f %s  (Espresso %+.0f%%)\n",
 				name, brep.Throughput, brep.Unit, 100*(report.Throughput/brep.Throughput-1))
 		}
-		ub, err := espresso.UpperBound(job)
+		ub, err := espresso.UpperBound(j)
 		if err != nil {
 			fatal(err)
 		}

@@ -129,16 +129,37 @@ func TestClusterOverrides(t *testing.T) {
 }
 
 func TestJobValidation(t *testing.T) {
-	bad := []Job{
-		{Model: ModelSpec{Preset: "alexnet"}, Cluster: ClusterSpec{Preset: "nvlink", Machines: 2}, Algorithm: AlgorithmSpec{Name: "fp32"}},
-		{Model: ModelSpec{}, Cluster: ClusterSpec{Preset: "nvlink", Machines: 2}, Algorithm: AlgorithmSpec{Name: "fp32"}},
-		{Model: ModelSpec{Preset: "lstm"}, Cluster: ClusterSpec{Preset: "infiniband", Machines: 2}, Algorithm: AlgorithmSpec{Name: "fp32"}},
-		{Model: ModelSpec{Preset: "lstm"}, Cluster: ClusterSpec{Preset: "nvlink", Machines: 2}, Algorithm: AlgorithmSpec{Name: "zstd"}},
-		{Model: ModelSpec{Preset: "lstm"}, Cluster: ClusterSpec{Preset: "nvlink", Machines: 2}, Algorithm: AlgorithmSpec{Name: "dgc", Ratio: 2}},
+	lstm := func(cs ClusterSpec) Job {
+		return Job{Model: ModelSpec{Preset: "lstm"}, Cluster: cs, Algorithm: AlgorithmSpec{Name: "fp32"}}
 	}
-	for i, job := range bad {
-		if _, _, err := Select(job); err == nil {
+	nvlink2 := ClusterSpec{Preset: "nvlink", Machines: 2}
+	bad := []struct {
+		job  Job
+		want string // substring the error must carry; "" accepts any error
+	}{
+		{job: Job{Model: ModelSpec{Preset: "alexnet"}, Cluster: nvlink2, Algorithm: AlgorithmSpec{Name: "fp32"}}},
+		{job: Job{Model: ModelSpec{}, Cluster: nvlink2, Algorithm: AlgorithmSpec{Name: "fp32"}}},
+		{job: lstm(ClusterSpec{Preset: "infiniband", Machines: 2})},
+		{job: Job{Model: ModelSpec{Preset: "lstm"}, Cluster: nvlink2, Algorithm: AlgorithmSpec{Name: "zstd"}}},
+		{job: Job{Model: ModelSpec{Preset: "lstm"}, Cluster: nvlink2, Algorithm: AlgorithmSpec{Name: "dgc", Ratio: 2}}},
+		// Negative overrides are errors, not "keep the preset".
+		{lstm(ClusterSpec{Preset: "nvlink", Machines: 2, GPUsPerMachine: -1}), "gpus_per_machine"},
+		{lstm(ClusterSpec{Preset: "nvlink", Machines: 2, IntraGBps: -1}), "intra_gbps"},
+		{lstm(ClusterSpec{Preset: "nvlink", Machines: 2, InterGbps: -1}), "inter_gbps"},
+		{lstm(ClusterSpec{Preset: "nvlink", Machines: 2, CPUCores: -1}), "cpu_cores"},
+		// A preset and custom tensors are ambiguous, not "the preset wins".
+		{Job{
+			Model:     ModelSpec{Preset: "lstm", Tensors: []TensorSpec{{Name: "fc", Elems: 1024, ComputeUs: 100}}},
+			Cluster:   nvlink2,
+			Algorithm: AlgorithmSpec{Name: "fp32"},
+		}, "preset"},
+	}
+	for i, tc := range bad {
+		_, _, err := Select(tc.job)
+		if err == nil {
 			t.Errorf("bad job %d accepted", i)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("bad job %d: error %q does not name %q", i, err, tc.want)
 		}
 	}
 	if _, _, err := Baseline("nccl", bertJob()); err == nil {

@@ -38,6 +38,18 @@ const (
 // All lists the comparison systems in the order the figures plot them.
 var All = []System{FP32, BytePSCompress, HiTopKComm, HiPress}
 
+// ByName maps a system's API and command-line name (fp32, hipress,
+// hitopkcomm, bytepscompress) to the System.
+func ByName(name string) (System, error) {
+	sys, ok := map[string]System{
+		"fp32": FP32, "hipress": HiPress, "hitopkcomm": HiTopKComm, "bytepscompress": BytePSCompress,
+	}[name]
+	if !ok {
+		return 0, fmt.Errorf("baselines: unknown system %q", name)
+	}
+	return sys, nil
+}
+
 func (s System) String() string {
 	switch s {
 	case FP32:

@@ -137,3 +137,18 @@ func TestSystemNames(t *testing.T) {
 		}
 	}
 }
+
+func TestByName(t *testing.T) {
+	for name, want := range map[string]System{
+		"fp32": FP32, "hipress": HiPress, "hitopkcomm": HiTopKComm, "bytepscompress": BytePSCompress,
+	} {
+		if got, err := ByName(name); err != nil || got != want {
+			t.Errorf("ByName(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "espresso", "FP32", "nccl"} {
+		if _, err := ByName(bad); err == nil {
+			t.Errorf("ByName(%q) accepted", bad)
+		}
+	}
+}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"espresso/internal/core"
+	"espresso/internal/job"
 	"espresso/internal/obs"
 	"espresso/internal/timeline"
 )
@@ -44,73 +44,83 @@ func (t *Telemetry) Reset() {
 	t.metrics = obs.NewMetrics()
 }
 
-// observe replays a strategy's derived timeline into the collector.
-func (t *Telemetry) observe(r *resolved, s *Strategy) error {
-	eng := timeline.New(r.m, r.c, r.cm)
-	res, err := eng.Evaluate(s.inner)
-	if err != nil {
-		return err
+// observe replays a strategy's derived timeline into the collector; a
+// no-op for an untraced call.
+func (t *Telemetry) observe(c *job.Case, s *Strategy) error {
+	if t == nil {
+		return nil
 	}
-	return eng.Observe(t.trace, t.metrics, res, s.inner)
+	eng := timeline.New(c.Model, c.Cluster, c.Costs)
+	res, err := eng.Evaluate(s.inner)
+	if err == nil {
+		err = eng.Observe(t.trace, t.metrics, res, s.inner)
+	}
+	if err != nil {
+		return fmt.Errorf("espresso: telemetry: %w", err)
+	}
+	return nil
 }
 
 // SelectTraced is Select with telemetry: the strategy search publishes
 // its effort into tel's metrics (search.* series), and the selected
 // strategy's derived timeline lands in tel's trace — one span per
-// compute/encode/collective/decode/offload operation per rank.
-func SelectTraced(job Job, tel *Telemetry) (*Strategy, *Report, error) {
-	if tel == nil {
-		return Select(job)
+// compute/encode/collective/decode/offload operation per rank. A nil tel
+// makes it Select.
+func SelectTraced(j Job, tel *Telemetry) (*Strategy, *Report, error) {
+	if tel != nil {
+		// Wall clock, not virtual time: api.* series observe the
+		// process's own performance, the quantity espresso-load drives.
+		defer tel.metrics.Timer("api.select.wall_seconds")()
 	}
-	// Wall clock, not virtual time: api.* series observe the process's
-	// own performance, the quantity espresso-load drives.
-	defer tel.metrics.Timer("api.select.wall_seconds")()
-	r, err := job.resolve()
+	c, err := job.Resolve(j)
 	if err != nil {
 		return nil, nil, err
 	}
-	sel := core.NewSelector(r.m, r.c, r.cm)
-	sel.Parallelism = job.workers()
-	sel.Explain = job.Explain
-	sel.Obs = tel.metrics
-	if err := applyConstraints(sel, job, r); err != nil {
+	sel, err := c.Selector()
+	if err != nil {
 		return nil, nil, err
+	}
+	if tel != nil {
+		sel.Obs = tel.metrics
 	}
 	s, rep, err := sel.Select()
 	if err != nil {
 		return nil, nil, err
 	}
-	out := report(r, rep.Iter)
+	out := report(c, rep.Iter)
 	out.SelectionTime = rep.SelectionTime
 	out.Evaluations = rep.Evals
 	out.CompressedTensors = rep.Compressed
 	out.OffloadedTensors = rep.Offloaded
 	out.Decisions = choices(rep.Decisions)
-	wrapped := wrapStrategy(s, r.m)
-	if err := tel.observe(r, wrapped); err != nil {
-		return nil, nil, fmt.Errorf("espresso: telemetry: %w", err)
+	wrapped := wrapStrategy(s, c.Model)
+	if err := tel.observe(c, wrapped); err != nil {
+		return nil, nil, err
 	}
 	return wrapped, out, nil
 }
 
 // PredictTraced is Predict with telemetry: the strategy's derived
-// timeline is replayed into tel alongside the performance report.
-func PredictTraced(job Job, s *Strategy, tel *Telemetry) (*Report, error) {
+// timeline is replayed into tel alongside the performance report. A nil
+// tel makes it Predict.
+func PredictTraced(j Job, s *Strategy, tel *Telemetry) (*Report, error) {
 	if tel != nil {
 		defer tel.metrics.Timer("api.predict.wall_seconds")()
 	}
-	rep, err := Predict(job, s)
+	c, err := job.Resolve(j)
 	if err != nil {
 		return nil, err
 	}
-	if tel != nil {
-		r, err := job.resolve()
-		if err != nil {
-			return nil, err
-		}
-		if err := tel.observe(r, s); err != nil {
-			return nil, fmt.Errorf("espresso: telemetry: %w", err)
-		}
+	if s.m.Name != c.Model.Name || len(s.inner.PerTensor) != len(c.Model.Tensors) {
+		return nil, fmt.Errorf("espresso: strategy was built for model %s (%d tensors), job has %s (%d)",
+			s.m.Name, len(s.inner.PerTensor), c.Model.Name, len(c.Model.Tensors))
 	}
-	return rep, nil
+	iter, err := iterTime(c, s.inner)
+	if err != nil {
+		return nil, err
+	}
+	if err := tel.observe(c, s); err != nil {
+		return nil, err
+	}
+	return report(c, iter), nil
 }
