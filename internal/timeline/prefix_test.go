@@ -55,7 +55,8 @@ func probeCandidates(t *testing.T, e *Engine, i int) []strategy.Option {
 // (in the plain configuration; the others reuse that set):
 // resuming from i's gradient-ready snapshot reproduces a full Run's Iter,
 // Makespan and ResBusy, and a bounded resume reports the exact time when
-// it is below the bound and a value at or above the bound otherwise.
+// it is below the bound and otherwise a value at or above the bound but
+// never above the exact time — so the remaining-work bound is sound.
 func TestRunFromMatchesRun(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		cs := gen.Generate(seed, gen.Config{})
@@ -122,10 +123,15 @@ func checkRunFrom(t *testing.T, ref, worker *Engine, p *Prefix, i int, cand stra
 		t.Fatalf("seed %d %s tensor %d %v: RunFrom iter=%v makespan=%v busy=%v, Run iter=%v makespan=%v busy=%v",
 			seed, cfg, i, cand, got.Iter, got.Makespan, got.ResBusy, want.Iter, want.Makespan, want.ResBusy)
 	}
-	for _, bound := range []time.Duration{want.Iter + 1, want.Iter, want.Iter / 2} {
+	for _, bound := range []time.Duration{want.Iter + 1, want.Iter, want.Iter - 1, want.Iter / 2} {
 		got, err := worker.RunFrom(p, bound)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// A cut-short run reports a lower bound: never more than exact.
+		if got.Iter > want.Iter {
+			t.Fatalf("seed %d %s tensor %d %v: bound %v: got %v above the exact %v",
+				seed, cfg, i, cand, bound, got.Iter, want.Iter)
 		}
 		if want.Iter < bound && got.Iter != want.Iter {
 			t.Fatalf("seed %d %s tensor %d %v: bound %v: got %v, want exact %v",

@@ -452,6 +452,13 @@ type Prefix struct {
 	now       time.Duration
 	lastDone  time.Duration
 	done      int
+	// tensor is the captured tensor; at is the capture instant, when its
+	// backward kernel completes; owed is, per resource, the work not yet
+	// done at that instant under the capturing strategy, less tensor's
+	// own chain — what RunFrom's remaining-work bound starts from.
+	tensor int
+	at     time.Duration
+	owed   [numResources]time.Duration
 }
 
 // CapturePrefix simulates the loaded strategy up to the instant tensor
@@ -468,7 +475,8 @@ func (e *Engine) CapturePrefix(i int, p *Prefix) error {
 	}
 	res := &e.resScratch
 	e.start(res)
-	if e.loop(res, false, jobPrio(i, 0, -1), NoBound) < 0 {
+	at := e.loop(res, false, jobPrio(i, 0, -1), NoBound)
+	if at < 0 {
 		return fmt.Errorf("timeline: tensor %d's backward kernel never completed", i)
 	}
 	for r := range e.queues {
@@ -477,6 +485,27 @@ func (e *Engine) CapturePrefix(i int, p *Prefix) error {
 	}
 	p.busyUntil, p.cur, p.resBusy = e.busyUntil, e.cur, res.ResBusy
 	p.now, p.lastDone, p.done = e.now, e.lastDone, e.done
+	p.tensor, p.at = i, at
+
+	// Work owed at the capture instant: every job's duration, less what
+	// has completed (ResBusy) and the elapsed part of each job in flight
+	// (no job completes strictly before at without being in ResBusy).
+	p.owed = [numResources]time.Duration{}
+	for k := range e.M.Tensors {
+		p.owed[ResGPU] += e.scaleCompute(e.M.Tensors[k].Compute)
+		if k == i {
+			continue
+		}
+		for _, j := range e.chains[k] {
+			p.owed[j.res] += j.dur
+		}
+	}
+	for r := range p.owed {
+		p.owed[r] -= res.ResBusy[r]
+		if e.busyUntil[r] >= 0 {
+			p.owed[r] -= at - e.cur[r].start
+		}
+	}
 	return nil
 }
 
@@ -484,13 +513,18 @@ func (e *Engine) CapturePrefix(i int, p *Prefix) error {
 // loaded strategy. The result equals Run's in Iter, Makespan and ResBusy
 // provided every tensor before the captured one still has the option it
 // had at capture and the engine's configuration (ZeroCompression,
-// ComputeScale) matches the capturing engine's; options of the captured
-// tensor and later ones are free to differ.
+// ComputeScale) matches the capturing engine's; with NoBound, options
+// of the captured tensor and later ones are free to differ.
 //
-// bound is an exact cutoff: once the iteration time is known to be at
-// least bound — the forward pass plus the current instant reaches it
-// while tensors remain — the run stops and reports that lower bound as
-// Iter (Makespan and ResBusy are then partial). An iteration time below
+// bound is an exact cutoff, and a bounded run requires every tensor but
+// the captured one to hold its capture-time option. Each resource is a
+// single server, so the iteration cannot end before the capture instant
+// plus the work still owed to any one resource; when that already
+// reaches bound, RunFrom simulates nothing and reports it as Iter (with
+// Makespan = Iter - forward and the captured ResBusy). Otherwise the
+// run stops once the forward pass plus the current instant reaches
+// bound while tensors remain, reporting that lower bound as Iter
+// (Makespan and ResBusy are then partial). An iteration time below
 // bound is always reported exactly. Pass NoBound for the exact value.
 //
 // RunFrom never records ops, and returns the engine's scratch Result
@@ -499,6 +533,21 @@ func (e *Engine) RunFrom(p *Prefix, bound time.Duration) (*Result, error) {
 	res := &e.resScratch
 	res.Ops = res.Ops[:0]
 	res.ResBusy = p.resBusy
+	if bound != NoBound {
+		owed := p.owed
+		for _, j := range e.chains[p.tensor] {
+			owed[j.res] += j.dur
+		}
+		tail := time.Duration(0)
+		for _, w := range owed {
+			tail = max(tail, w)
+		}
+		if iter := e.scaleCompute(e.M.Forward) + p.at + tail; iter >= bound {
+			res.Makespan = p.at + tail
+			res.Iter = iter
+			return res, nil
+		}
+	}
 	for r := range e.queues {
 		q, src := &e.queues[r], p.queues[r]
 		if n := copy(q.buf, src); n < len(src) {
