@@ -716,12 +716,19 @@ func (sel *Selector) sweepFrom(s *strategy.Strategy, rep *Report, parent int) (*
 	var probes []strategy.Option
 	var iters []time.Duration
 	order := sel.order()
+	// ver counts accepted improvements; probedAt[idx] is ver right after
+	// idx's last probe (0 = never probed, hence ver starts at 1). When
+	// they are equal, every other tensor still holds the option it held
+	// then and idx holds the winner (or incumbent) of that probe, so no
+	// candidate can strictly beat the incumbent: the position is skipped.
+	ver := 1
+	probedAt := make([]int, len(sel.M.Tensors))
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		changed := false
 		spPass := tr.Begin(parent, "pass")
 		passEvals := rep.Evals
 		for _, idx := range order {
-			if removed[idx] {
+			if removed[idx] || probedAt[idx] == ver {
 				continue
 			}
 			cur := s.PerTensor[idx]
@@ -777,10 +784,12 @@ func (sel *Selector) sweepFrom(s *strategy.Strategy, rep *Report, parent int) (*
 			// removeBeforeBubbles leaves the engine prepared with s.
 			if improved {
 				changed = true
+				ver++
 				if err := sel.removeBeforeBubbles(s, removed, rep); err != nil {
 					return nil, err
 				}
 			}
+			probedAt[idx] = ver
 		}
 		tr.EndEvals(spPass, int64(rep.Evals-passEvals))
 		if !changed {

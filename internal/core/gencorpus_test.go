@@ -9,9 +9,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"espresso/internal/cost"
 	"espresso/internal/gen"
+	"espresso/internal/obs/wtrace"
 	"espresso/internal/strategy"
 )
 
@@ -93,5 +95,61 @@ func TestGenCorpusSelectionsGolden(t *testing.T) {
 				t.Fatal("too many mismatches")
 			}
 		}
+	}
+}
+
+// Within one sweepFrom call a tensor is probed again only after some
+// accepted improvement: otherwise every other tensor still holds the
+// option it held at the last probe, and the re-probe cannot win. The
+// check reads the traced Select's probe spans. The request clock ticks
+// once per reading and notes the incumbent F(S) bubble analysis last
+// saw; the sweep re-runs bubble analysis after every accepted
+// improvement and F(S) strictly falls, so two clock readings noting
+// the same incumbent have no improvement between them.
+func TestSweepSkipsUnchangedPositions(t *testing.T) {
+	reprobes := 0
+	for seed := uint64(1); seed <= 20; seed++ {
+		cs := gen.Generate(seed, gen.Config{})
+		cm, err := cost.NewModels(cs.Cluster, cs.Spec)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		sel := NewSelector(cs.Model, cs.Cluster, cm)
+		req := wtrace.New().Start("select")
+		var incumbent []time.Duration
+		req.SetClock(func() time.Duration {
+			incumbent = append(incumbent, sel.bubbleRes.Iter)
+			return time.Duration(len(incumbent) - 1)
+		})
+		sel.Trace = req
+		if _, _, err := sel.Select(); err != nil {
+			t.Fatalf("%v: %v", cs, err)
+		}
+		spans := req.Spans()
+		req.Release()
+
+		// Keyed by (sweepFrom call, tensor): the incumbent right after the
+		// tensor's last probe was decided. A probe span's parent is a
+		// pass, whose parent ("sweep" or "alt") identifies the call; the
+		// clock reading after the span's end follows the decision.
+		after := make(map[[2]int]time.Duration)
+		for _, sp := range spans {
+			if sp.Name != "probe" {
+				continue
+			}
+			idx, _ := sp.TensorIndex()
+			key := [2]int{spans[sp.Parent].Parent, idx}
+			if prev, ok := after[key]; ok {
+				reprobes++
+				if incumbent[sp.Start] == prev {
+					t.Errorf("%v: tensor %d probed again at F(S)=%v with no improvement since its last probe",
+						cs, idx, prev)
+				}
+			}
+			after[key] = incumbent[sp.End+1]
+		}
+	}
+	if reprobes == 0 {
+		t.Fatal("no tensor was probed twice in one sweep; the check is vacuous")
 	}
 }
