@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -26,11 +25,17 @@ const genCorpusGolden = "testdata/gen_selections.golden"
 // genCorpusSeeds is the pinned seed range (gen.Config{} defaults).
 const genCorpusSeeds = 400
 
-// genCorpusLines selects every pinned seed at Parallelism 1 and renders
-// the golden lines.
-func genCorpusLines(t *testing.T) []string {
-	t.Helper()
-	lines := make([]string, 0, genCorpusSeeds)
+// Selections on the generated corpus must not move: the zoo golden pins
+// six large models, this pins hundreds of small, varied ones, where
+// pruning and skip rules meet many more edge cases (one tensor, one
+// machine, latency-free links, every compressor). Each seed selects at
+// Parallelism 1. Run with -update to rewrite the golden after an
+// intended change.
+func TestGenCorpusSelectionsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("400 generated selections in -short mode")
+	}
+	got := make([]string, 0, genCorpusSeeds)
 	for seed := uint64(1); seed <= genCorpusSeeds; seed++ {
 		cs := gen.Generate(seed, gen.Config{})
 		cm, err := cost.NewModels(cs.Cluster, cs.Spec)
@@ -47,25 +52,9 @@ func genCorpusLines(t *testing.T) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines = append(lines, fmt.Sprintf("%d %x %d", seed, sha256.Sum256(buf), int64(rep.Iter)))
+		got = append(got, fmt.Sprintf("%d %x %d", seed, sha256.Sum256(buf), int64(rep.Iter)))
 	}
-	return lines
-}
-
-// Selections on the generated corpus must not move: the zoo golden pins
-// six large models, this pins hundreds of small, varied ones, where
-// pruning and skip rules meet many more edge cases (one tensor, one
-// machine, latency-free links, every compressor). Run with -update to
-// rewrite the golden after an intended change.
-func TestGenCorpusSelectionsGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("400 generated selections in -short mode")
-	}
-	got := genCorpusLines(t)
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(genCorpusGolden), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(genCorpusGolden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +62,7 @@ func TestGenCorpusSelectionsGolden(t *testing.T) {
 	}
 	f, err := os.Open(genCorpusGolden)
 	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
+		t.Fatal(err)
 	}
 	defer f.Close()
 	var want []string

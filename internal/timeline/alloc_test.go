@@ -97,15 +97,21 @@ func TestRunFromDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := [2]strategy.Option{compressed, plain}
+	// Bound 0 is rejected up front by the remaining-work bound; the
+	// better candidate's exact time is a sweep's bound for a probe that
+	// cannot beat the incumbent.
+	incumbent := NoBound
 	for _, opt := range opts {
 		if err := e.SetOption(last, opt); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.RunFrom(&p, NoBound); err != nil {
+		r, err := e.RunFrom(&p, NoBound)
+		if err != nil {
 			t.Fatal(err)
 		}
+		incumbent = min(incumbent, r.Iter)
 	}
-	for _, bound := range []time.Duration{NoBound, 0} {
+	for _, bound := range []time.Duration{NoBound, 0, incumbent} {
 		round := 0
 		allocs := testing.AllocsPerRun(100, func() {
 			if err := e.SetOption(last, opts[round&1]); err != nil {
@@ -274,7 +280,14 @@ func BenchmarkProbeLoop(b *testing.B) {
 // BenchmarkProbeFromPrefix is BenchmarkProbeLoop on the incremental
 // path: the last tensor's candidates swap in and resume from its
 // gradient-ready snapshot, simulating only the events after it.
-func BenchmarkProbeFromPrefix(b *testing.B) {
+func BenchmarkProbeFromPrefix(b *testing.B) { benchProbeFromPrefix(b, false) }
+
+// BenchmarkProbeFromPrefixBounded is the same probe bounded by the
+// better candidate's exact time — a bound neither probe can strictly
+// beat, as for every losing probe of the greedy sweep.
+func BenchmarkProbeFromPrefixBounded(b *testing.B) { benchProbeFromPrefix(b, true) }
+
+func benchProbeFromPrefix(b *testing.B, bounded bool) {
 	e, s, plain, compressed := hotLoopEngine(b)
 	last := len(s.PerTensor) - 1
 	var p Prefix
@@ -282,12 +295,17 @@ func BenchmarkProbeFromPrefix(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := [2]strategy.Option{compressed, plain}
+	bound := NoBound
 	for _, opt := range opts {
 		if err := e.SetOption(last, opt); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.RunFrom(&p, NoBound); err != nil {
+		r, err := e.RunFrom(&p, NoBound)
+		if err != nil {
 			b.Fatal(err)
+		}
+		if bounded {
+			bound = min(bound, r.Iter)
 		}
 	}
 	b.ReportAllocs()
@@ -296,7 +314,7 @@ func BenchmarkProbeFromPrefix(b *testing.B) {
 		if err := e.SetOption(last, opts[i&1]); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.RunFrom(&p, NoBound); err != nil {
+		if _, err := e.RunFrom(&p, bound); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -488,8 +488,9 @@ func (e *Engine) CapturePrefix(i int, p *Prefix) error {
 	p.tensor, p.at = i, at
 
 	// Work owed at the capture instant: every job's duration, less what
-	// has completed (ResBusy) and the elapsed part of each job in flight
-	// (no job completes strictly before at without being in ResBusy).
+	// has completed (ResBusy) and the elapsed part of each job in flight.
+	// Jobs finishing exactly at the instant are still in flight here, so
+	// their whole duration counts as elapsed.
 	p.owed = [numResources]time.Duration{}
 	for k := range e.M.Tensors {
 		p.owed[ResGPU] += e.scaleCompute(e.M.Tensors[k].Compute)
@@ -538,7 +539,7 @@ func (e *Engine) RunFrom(p *Prefix, bound time.Duration) (*Result, error) {
 		for _, j := range e.chains[p.tensor] {
 			owed[j.res] += j.dur
 		}
-		tail := time.Duration(0)
+		var tail time.Duration
 		for _, w := range owed {
 			tail = max(tail, w)
 		}
