@@ -1,10 +1,11 @@
-// Package cmd_test pins the console output of the five job CLIs
-// (espresso, espresso-sim, espresso-analyze, espresso-chaos,
-// espresso-trace) against golden files in testdata/. Each binary is
-// built once, run from the repository root with its default flags, with
-// each checked-in job config where it takes -job, and with -h; wall-clock
-// durations are masked, so every remaining byte — selected shapes,
-// predicted iteration times, Gantt rows, flag lists — must match.
+// Package cmd_test pins the console output of the command-line tools
+// against golden files in testdata/. Each binary is built once and run
+// from the repository root: the five job CLIs (espresso, espresso-sim,
+// espresso-analyze, espresso-chaos, espresso-trace) with their default
+// flags and each checked-in job config where they take -job, the others
+// on a small fixed input, and every one with -h. Wall-clock durations
+// are masked, so every remaining byte — selected shapes, predicted
+// iteration times, Gantt rows, flag lists — must match.
 //
 // Regenerate after an intended output change with
 //
@@ -38,6 +39,9 @@ var wallClock = []struct {
 	{regexp.MustCompile(`(selection time: +)` + dur), "${1}<wall>"},
 	// espresso-trace's host compression profile rows.
 	{regexp.MustCompile(`(?m)^( +[0-9]+) +` + dur + ` +` + dur + `( +[0-9]+)$`), "$1 <wall> <wall>$2"},
+	// espresso-bench's per-experiment header and espresso-verify's total.
+	{regexp.MustCompile(`(?m)^(===== [a-z0-9]+ \()` + dur + `(\) =====)$`), "${1}<wall>$2"},
+	{regexp.MustCompile(`(?m)^(elapsed: )` + dur + `$`), "${1}<wall>"},
 	// flag's usage header names the binary's build path.
 	{regexp.MustCompile(`(?m)^Usage of .*:$`), "Usage:"},
 }
@@ -49,53 +53,50 @@ func mask(out []byte) []byte {
 	return out
 }
 
+// cliCases lists each run and its golden file, testdata/<name>.golden.
 var cliCases = []struct {
+	name string
 	bin  string
 	args []string
 }{
-	{"espresso", nil},
-	{"espresso", []string{"-job", "configs/bert_nvlink.json"}},
-	{"espresso", []string{"-job", "configs/lstm_pcie.json"}},
-	{"espresso", []string{"-job", "configs/custom_model.json"}},
-	{"espresso", []string{"-h"}},
-	{"espresso-sim", nil},
-	{"espresso-sim", []string{"-job", "configs/bert_nvlink.json"}},
-	{"espresso-sim", []string{"-job", "configs/lstm_pcie.json"}},
-	{"espresso-sim", []string{"-job", "configs/custom_model.json"}},
-	{"espresso-sim", []string{"-h"}},
-	{"espresso-analyze", nil},
-	{"espresso-analyze", []string{"-h"}},
-	{"espresso-chaos", nil},
-	{"espresso-chaos", []string{"-h"}},
-	{"espresso-trace", nil},
-	{"espresso-trace", []string{"-h"}},
-}
-
-// goldenName derives a case's golden file: espresso-sim + [-job
-// configs/lstm_pcie.json] -> espresso-sim_lstm_pcie.golden.
-func goldenName(bin string, args []string) string {
-	name := bin
-	for _, a := range args {
-		if a == "-job" {
-			continue
-		}
-		name += "_" + strings.TrimSuffix(strings.TrimLeft(filepath.Base(a), "-"), ".json")
-	}
-	return filepath.Join("testdata", name+".golden")
+	{"espresso", "espresso", nil},
+	{"espresso_bert_nvlink", "espresso", []string{"-job", "configs/bert_nvlink.json"}},
+	{"espresso_lstm_pcie", "espresso", []string{"-job", "configs/lstm_pcie.json"}},
+	{"espresso_custom_model", "espresso", []string{"-job", "configs/custom_model.json"}},
+	{"espresso_h", "espresso", []string{"-h"}},
+	{"espresso-sim", "espresso-sim", nil},
+	{"espresso-sim_bert_nvlink", "espresso-sim", []string{"-job", "configs/bert_nvlink.json"}},
+	{"espresso-sim_lstm_pcie", "espresso-sim", []string{"-job", "configs/lstm_pcie.json"}},
+	{"espresso-sim_custom_model", "espresso-sim", []string{"-job", "configs/custom_model.json"}},
+	{"espresso-sim_h", "espresso-sim", []string{"-h"}},
+	{"espresso-analyze", "espresso-analyze", nil},
+	{"espresso-analyze_h", "espresso-analyze", []string{"-h"}},
+	{"espresso-chaos", "espresso-chaos", nil},
+	{"espresso-chaos_h", "espresso-chaos", []string{"-h"}},
+	{"espresso-trace", "espresso-trace", nil},
+	{"espresso-trace_h", "espresso-trace", []string{"-h"}},
+	{"espresso-bench_table1", "espresso-bench", []string{"-experiment", "table1"}},
+	{"espresso-bench_h", "espresso-bench", []string{"-h"}},
+	{"espresso-verify", "espresso-verify", []string{"-cases", "20", "-seed", "1"}},
+	{"espresso-verify_h", "espresso-verify", []string{"-h"}},
+	{"espresso-benchgate", "espresso-benchgate", []string{
+		"-baseline", "cmd/testdata/benchgate_baseline.txt", "-current", "cmd/testdata/benchgate_current.txt"}},
+	{"espresso-benchgate_h", "espresso-benchgate", []string{"-h"}},
+	{"espresso-load_h", "espresso-load", []string{"-h"}},
+	{"espresso-serve_h", "espresso-serve", []string{"-h"}},
 }
 
 func TestCLIGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs five binaries, including two zoo-model selections")
+		t.Skip("builds and runs every binary, including two zoo-model selections")
 	}
 	bin := t.TempDir()
-	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator),
-		"./espresso", "./espresso-sim", "./espresso-analyze", "./espresso-chaos", "./espresso-trace")
+	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./...")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	for _, tc := range cliCases {
-		golden := goldenName(tc.bin, tc.args)
+		golden := filepath.Join("testdata", tc.name+".golden")
 		t.Run(filepath.Base(golden), func(t *testing.T) {
 			cmd := exec.Command(filepath.Join(bin, tc.bin), tc.args...)
 			cmd.Dir = ".." // job configs resolve against the repository root
