@@ -1,4 +1,4 @@
-// Package client is the typed Go client for the espresso-serve
+// Package client is the typed Go client for the espresso serve
 // selection API, and the home of the API's wire types: the server
 // (internal/serve), the CLIs, and the conformance tests all marshal
 // through the structs in this file, so the JSON contract is defined in
@@ -89,7 +89,7 @@ type SelectResponse struct {
 //     inline fault-injection Plan (the internal/chaos plan schema) and
 //     persist the full chaos report.
 //   - "verify": run Cases differential-oracle cases starting at Seed
-//     (the espresso-verify harness) and persist the summary.
+//     (the espresso verify harness) and persist the summary.
 type JobRequest struct {
 	Kind string    `json:"kind"`
 	Seed uint64    `json:"seed"`

@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// Client talks to one espresso-serve endpoint.
+// Client talks to one espresso serve endpoint.
 type Client struct {
 	base  string
 	token string

@@ -1,11 +1,11 @@
-// Package cmd_test pins the console output of the command-line tools
-// against golden files in testdata/. Each binary is built once and run
-// from the repository root: the five job CLIs (espresso, espresso-sim,
-// espresso-analyze, espresso-chaos, espresso-trace) with their default
-// flags and each checked-in job config where they take -job, the others
-// on a small fixed input, and every one with -h. Wall-clock durations
-// are masked, so every remaining byte — selected shapes, predicted
-// iteration times, Gantt rows, flag lists — must match.
+// Package cmd_test drives the espresso binary end to end and pins its
+// console output against golden files in testdata/. The binary is built
+// once and run from the repository root: the job subcommands (select,
+// sim, analyze, chaos, trace) with their default flags and each
+// checked-in job config where they take -job, the others on a small
+// fixed input, and every one with -h. Wall-clock durations are masked,
+// so every remaining byte — selected shapes, predicted iteration times,
+// Gantt rows, flag lists — must match.
 //
 // Regenerate after an intended output change with
 //
@@ -14,6 +14,7 @@ package cmd_test
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -21,6 +22,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -37,12 +39,12 @@ var wallClock = []struct {
 }{
 	{regexp.MustCompile(`(selected strategy in )` + dur + `:`), "${1}<wall>:"},
 	{regexp.MustCompile(`(selection time: +)` + dur), "${1}<wall>"},
-	// espresso-trace's host compression profile rows.
+	// trace's host compression profile rows.
 	{regexp.MustCompile(`(?m)^( +[0-9]+) +` + dur + ` +` + dur + `( +[0-9]+)$`), "$1 <wall> <wall>$2"},
-	// espresso-bench's per-experiment header and espresso-verify's total.
+	// bench's per-experiment header and verify's total.
 	{regexp.MustCompile(`(?m)^(===== [a-z0-9]+ \()` + dur + `(\) =====)$`), "${1}<wall>$2"},
 	{regexp.MustCompile(`(?m)^(elapsed: )` + dur + `$`), "${1}<wall>"},
-	// flag's usage header names the binary's build path.
+	// flag's usage header names the subcommand.
 	{regexp.MustCompile(`(?m)^Usage of .*:$`), "Usage:"},
 }
 
@@ -54,60 +56,100 @@ func mask(out []byte) []byte {
 }
 
 // cliCases lists each run and its golden file, testdata/<name>.golden.
+// The names keep the tools' former binary names (espresso for select,
+// espresso-sim for sim, ...), so each golden's history and test name
+// survive the move to subcommands.
 var cliCases = []struct {
 	name string
-	bin  string
 	args []string
 }{
-	{"espresso", "espresso", nil},
-	{"espresso_bert_nvlink", "espresso", []string{"-job", "configs/bert_nvlink.json"}},
-	{"espresso_lstm_pcie", "espresso", []string{"-job", "configs/lstm_pcie.json"}},
-	{"espresso_custom_model", "espresso", []string{"-job", "configs/custom_model.json"}},
-	{"espresso_h", "espresso", []string{"-h"}},
-	{"espresso-sim", "espresso-sim", nil},
-	{"espresso-sim_bert_nvlink", "espresso-sim", []string{"-job", "configs/bert_nvlink.json"}},
-	{"espresso-sim_lstm_pcie", "espresso-sim", []string{"-job", "configs/lstm_pcie.json"}},
-	{"espresso-sim_custom_model", "espresso-sim", []string{"-job", "configs/custom_model.json"}},
-	{"espresso-sim_h", "espresso-sim", []string{"-h"}},
-	{"espresso-analyze", "espresso-analyze", nil},
-	{"espresso-analyze_h", "espresso-analyze", []string{"-h"}},
-	{"espresso-chaos", "espresso-chaos", nil},
-	{"espresso-chaos_h", "espresso-chaos", []string{"-h"}},
-	{"espresso-trace", "espresso-trace", nil},
-	{"espresso-trace_h", "espresso-trace", []string{"-h"}},
-	{"espresso-bench_table1", "espresso-bench", []string{"-experiment", "table1"}},
-	{"espresso-bench_h", "espresso-bench", []string{"-h"}},
-	{"espresso-verify", "espresso-verify", []string{"-cases", "20", "-seed", "1"}},
-	{"espresso-verify_h", "espresso-verify", []string{"-h"}},
-	{"espresso-benchgate", "espresso-benchgate", []string{
+	{"espresso", []string{"select"}},
+	{"espresso_bert_nvlink", []string{"select", "-job", "configs/bert_nvlink.json"}},
+	{"espresso_lstm_pcie", []string{"select", "-job", "configs/lstm_pcie.json"}},
+	{"espresso_custom_model", []string{"select", "-job", "configs/custom_model.json"}},
+	{"espresso_h", []string{"select", "-h"}},
+	{"espresso-sim", []string{"sim"}},
+	{"espresso-sim_bert_nvlink", []string{"sim", "-job", "configs/bert_nvlink.json"}},
+	{"espresso-sim_lstm_pcie", []string{"sim", "-job", "configs/lstm_pcie.json"}},
+	{"espresso-sim_custom_model", []string{"sim", "-job", "configs/custom_model.json"}},
+	{"espresso-sim_h", []string{"sim", "-h"}},
+	{"espresso-analyze", []string{"analyze"}},
+	{"espresso-analyze_h", []string{"analyze", "-h"}},
+	{"espresso-chaos", []string{"chaos"}},
+	{"espresso-chaos_h", []string{"chaos", "-h"}},
+	{"espresso-trace", []string{"trace"}},
+	{"espresso-trace_h", []string{"trace", "-h"}},
+	{"espresso-bench_table1", []string{"bench", "-experiment", "table1"}},
+	{"espresso-bench_h", []string{"bench", "-h"}},
+	{"espresso-verify", []string{"verify", "-cases", "20", "-seed", "1"}},
+	{"espresso-verify_h", []string{"verify", "-h"}},
+	{"espresso-benchgate", []string{"benchgate",
 		"-baseline", "cmd/testdata/benchgate_baseline.txt", "-current", "cmd/testdata/benchgate_current.txt"}},
-	{"espresso-benchgate_h", "espresso-benchgate", []string{"-h"}},
-	{"espresso-load_h", "espresso-load", []string{"-h"}},
-	{"espresso-serve_h", "espresso-serve", []string{"-h"}},
+	{"espresso-benchgate_h", []string{"benchgate", "-h"}},
+	{"espresso-load_h", []string{"load", "-h"}},
+	{"espresso-serve_h", []string{"serve", "-h"}},
+}
+
+var (
+	buildOnce sync.Once
+	binDir    string
+	buildErr  error
+)
+
+// TestMain removes the binary espressoBin built.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
+
+// espressoBin builds cmd/espresso once per test process and returns the
+// binary's path.
+func espressoBin(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and runs the espresso binary")
+	}
+	buildOnce.Do(func() {
+		if binDir, buildErr = os.MkdirTemp("", "espresso-cli"); buildErr != nil {
+			return
+		}
+		out, err := exec.Command("go", "build", "-o", binDir, "./espresso").CombinedOutput()
+		if err != nil {
+			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
+		}
+	})
+	if buildErr != nil {
+		t.Fatal(buildErr)
+	}
+	return filepath.Join(binDir, "espresso")
+}
+
+// espresso runs the binary from the repository root, where job configs
+// and fixtures resolve, and returns its stdout and stderr.
+func espresso(t *testing.T, args ...string) (stdout, stderr []byte, err error) {
+	cmd := exec.Command(espressoBin(t), args...)
+	cmd.Dir = ".."
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err = cmd.Run()
+	return out.Bytes(), errOut.Bytes(), err
 }
 
 func TestCLIGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs every binary, including two zoo-model selections")
-	}
-	bin := t.TempDir()
-	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./...")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	espressoBin(t)
 	for _, tc := range cliCases {
 		golden := filepath.Join("testdata", tc.name+".golden")
 		t.Run(filepath.Base(golden), func(t *testing.T) {
-			cmd := exec.Command(filepath.Join(bin, tc.bin), tc.args...)
-			cmd.Dir = ".." // job configs resolve against the repository root
-			var stdout, stderr bytes.Buffer
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			if err := cmd.Run(); err != nil {
-				t.Fatalf("%s %v: %v\n%s", tc.bin, tc.args, err, stderr.Bytes())
+			got, stderr, err := espresso(t, tc.args...)
+			if err != nil {
+				t.Fatalf("espresso %v: %v\n%s", tc.args, err, stderr)
 			}
-			got := stdout.Bytes()
-			if len(tc.args) == 1 && tc.args[0] == "-h" {
-				got = stderr.Bytes() // flag prints usage to stderr
+			if tc.args[len(tc.args)-1] == "-h" {
+				got = stderr // flag prints usage to stderr
 			}
 			got = mask(got)
 			if *update {
@@ -121,9 +163,38 @@ func TestCLIGolden(t *testing.T) {
 				t.Fatalf("%v (run with -update to create it)", err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("%s %v: output differs from %s\n%s", tc.bin, tc.args, golden, firstDiff(got, want))
+				t.Errorf("espresso %v: output differs from %s\n%s", tc.args, golden, firstDiff(got, want))
 			}
 		})
+	}
+}
+
+// TestUsage checks that a missing or unknown subcommand prints the
+// subcommand list to stderr and exits 2.
+func TestUsage(t *testing.T) {
+	for _, args := range [][]string{nil, {"frobnicate"}, {"-h"}} {
+		_, stderr, err := espresso(t, args...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("espresso %v: err = %v, want exit status 2", args, err)
+		}
+		for _, c := range []string{"select", "sim", "analyze", "chaos", "trace", "bench", "benchgate", "load", "serve", "verify"} {
+			if !regexp.MustCompile(`(?m)^  ` + c + ` `).Match(stderr) {
+				t.Errorf("espresso %v: usage does not list %q:\n%s", args, c, stderr)
+			}
+		}
+	}
+}
+
+// TestChaosRejectsNaNSeverity checks that a NaN severity fails with the
+// range error instead of reaching the re-selection.
+func TestChaosRejectsNaNSeverity(t *testing.T) {
+	_, stderr, err := espresso(t, "chaos", "-severities", "NaN")
+	if err == nil {
+		t.Fatal("espresso chaos -severities NaN succeeded")
+	}
+	if !bytes.Contains(stderr, []byte(`bad severity \"NaN\" (want >= 1)`)) {
+		t.Fatalf("stderr lacks the severity range error:\n%s", stderr)
 	}
 }
 

@@ -1,4 +1,4 @@
-package baselines
+package main
 
 // This file implements the benchmark regression gate: a parser for `go
 // test -bench` output and a benchstat-style comparison against a
@@ -15,14 +15,73 @@ package baselines
 
 import (
 	"bufio"
+	"flag"
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
+
+	"espresso/internal/logx"
 )
+
+// runBenchgate compares `go test -bench` output against a checked-in
+// baseline and fails (exit 1) on regression. It gates two quantities
+// with independent tolerances: wall-clock ns/op (hardware dependent —
+// use a strict tolerance only when baseline and current ran on the same
+// machine) and allocs/op (deterministic — strict everywhere; this is the
+// gate that protects the allocation-free selection hot path). Baseline
+// benchmarks missing from the current run also fail, so a deleted
+// benchmark cannot silently retire its gate.
+//
+//	go test -bench 'Selection|Timeline' -benchmem -run '^$' . > bench.txt
+//	espresso benchgate -current bench.txt -max-slowdown 0.15 -max-alloc-growth 0.0
+func runBenchgate(fs *flag.FlagSet, args []string) {
+	baselinePath := fs.String("baseline", "cmd/espresso/testdata/bench-baseline.txt", "baseline `file` (go test -bench output)")
+	currentPath := fs.String("current", "-", "current `file` (go test -bench output), - for stdin")
+	maxSlowdown := fs.Float64("max-slowdown", 0.15, "allowed fractional ns/op growth; negative disables the wall-clock gate")
+	maxAllocGrowth := fs.Float64("max-alloc-growth", 0.0, "allowed fractional allocs/op growth; negative disables the allocation gate")
+	parse(fs, args)
+
+	base, err := parseBenchFile(*baselinePath)
+	if err != nil {
+		fatal(err)
+	}
+	cur, err := parseBenchFile(*currentPath)
+	if err != nil {
+		fatal(err)
+	}
+	if len(base) == 0 {
+		fatal(fmt.Errorf("baseline %s contains no benchmark results", *baselinePath))
+	}
+	if len(cur) == 0 {
+		fatal(fmt.Errorf("current run contains no benchmark results"))
+	}
+
+	gate := BenchGate{MaxSlowdown: *maxSlowdown, MaxAllocGrowth: *maxAllocGrowth}
+	deltas, missing := gate.Compare(base, cur)
+	WriteBenchReport(os.Stdout, deltas, missing)
+	if BenchRegressed(deltas, missing) {
+		logx.Fatal(log, "benchmark gate failed", "baseline", *baselinePath)
+	}
+	fmt.Println("benchgate: ok")
+}
+
+// parseBenchFile parses one `go test -bench` output file; - is stdin.
+func parseBenchFile(path string) ([]BenchResult, error) {
+	if path == "-" {
+		return ParseBench(os.Stdin)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ParseBench(f)
+}
 
 // BenchResult is one parsed benchmark measurement.
 type BenchResult struct {
@@ -61,7 +120,7 @@ func ParseBench(r io.Reader) ([]BenchResult, error) {
 		}
 		iters, err := strconv.ParseInt(m[2], 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("baselines: bad iteration count in %q: %w", sc.Text(), err)
+			return nil, fmt.Errorf("benchgate: bad iteration count in %q: %w", sc.Text(), err)
 		}
 		res := BenchResult{
 			Name:        cpuSuffix.ReplaceAllString(m[1], ""),
@@ -74,7 +133,7 @@ func ParseBench(r io.Reader) ([]BenchResult, error) {
 		for i := 0; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("baselines: bad measurement in %q: %w", sc.Text(), err)
+				return nil, fmt.Errorf("benchgate: bad measurement in %q: %w", sc.Text(), err)
 			}
 			switch fields[i+1] {
 			case "ns/op":
@@ -86,7 +145,7 @@ func ParseBench(r io.Reader) ([]BenchResult, error) {
 			}
 		}
 		if res.NsPerOp < 0 {
-			return nil, fmt.Errorf("baselines: benchmark line without ns/op: %q", sc.Text())
+			return nil, fmt.Errorf("benchgate: benchmark line without ns/op: %q", sc.Text())
 		}
 		if i, dup := byName[res.Name]; dup {
 			out[i] = res

@@ -1,86 +1,51 @@
-// Command espresso-sim executes a compression strategy end to end on the
-// simulated cluster: real gradient bytes flow through the compression,
-// collective, and error-feedback stack for a number of iterations, the
-// result is checked for cross-GPU agreement, and the derived timeline is
-// printed as a Gantt chart.
-//
-//	espresso-sim -model lstm -cluster pcie -machines 2 -algo dgc -system espresso -iters 3
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
-	"log/slog"
 	"math/rand"
 	"os"
 	"time"
 
-	"espresso/internal/baselines"
 	"espresso/internal/chaos"
 	"espresso/internal/core"
 	"espresso/internal/ddl"
 	"espresso/internal/job"
-	"espresso/internal/logx"
 	"espresso/internal/netsim"
 	"espresso/internal/obs"
 	"espresso/internal/obs/analyze"
-	"espresso/internal/obs/serve"
-	"espresso/internal/par"
-	"espresso/internal/strategy"
-	"espresso/internal/timeline"
 )
 
-// log carries the CLI's structured stderr diagnostics; built in main
-// from the shared -log-level/-log-json flags.
-var log *slog.Logger
-
-func main() {
+// runSim executes a compression strategy end to end on the simulated
+// cluster: real gradient bytes flow through the compression,
+// collective, and error-feedback stack for a number of iterations, the
+// result is checked for cross-GPU agreement, and the derived timeline is
+// printed as a Gantt chart.
+//
+//	espresso sim -model lstm -cluster pcie -machines 2 -algo dgc -system espresso -iters 3
+func runSim(fs *flag.FlagSet, args []string) {
+	jf := addJobFlags(fs, job.Job{
+		Model:       job.ModelSpec{Preset: "lstm"},
+		Cluster:     job.ClusterSpec{Preset: "nvlink", Machines: 2, GPUsPerMachine: 2},
+		Algorithm:   job.AlgorithmSpec{Name: "dgc", Ratio: 0.01},
+		Parallelism: 1,
+	})
 	var (
-		modelF     = flag.String("model", "lstm", "model preset")
-		clusterF   = flag.String("cluster", "nvlink", "cluster preset (nvlink, pcie)")
-		machines   = flag.Int("machines", 2, "GPU machines")
-		gpus       = flag.Int("gpus", 2, "GPUs per machine (0 = preset default; kept small: the data plane moves real bytes)")
-		algo       = flag.String("algo", "dgc", "GC algorithm")
-		ratio      = flag.Float64("ratio", 0.01, "sparsifier ratio")
-		system     = flag.String("system", "espresso", "espresso|fp32|hipress|hitopkcomm|bytepscompress")
-		iters      = flag.Int("iters", 2, "iterations to execute on the data plane")
-		scale      = flag.Int("scale", 4096, "elements per simulated tensor on the data plane")
-		gantt      = flag.Bool("gantt", true, "print the derived timeline")
-		parallel   = flag.Int("parallel", 1, "strategy-search workers (0 = one per CPU); the selected strategy is identical at any setting")
-		jobF       = flag.String("job", "", "job-description JSON (overrides -model/-cluster/-machines/-gpus/-algo/-ratio)")
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON file of the derived timeline")
-		metrOut    = flag.String("metrics-out", "", "write a metrics-registry JSON file")
-		explain    = flag.Bool("explain", false, "print the selector's per-tensor decision log (espresso system only)")
-		analyzeOut = flag.String("analyze-out", "", "write an iteration-profile JSON (critical path, device stats, phase breakdown)")
-		chaosF     = flag.String("chaos", "", "fault-injection plan JSON; iterations run against the faulted network with retry/timeout recovery")
-		chaosOut   = flag.String("chaos-report", "", "write the chaos run report JSON (requires -chaos)")
-		chaosDet   = flag.Bool("deterministic", false, "zero wall-clock fields in the chaos report so same-seed reruns are byte-identical")
-		listen     = flag.String("listen", "", "serve /metrics, /healthz, and /debug/pprof on this address during the run (e.g. 127.0.0.1:9090)")
+		system     = fs.String("system", "espresso", "espresso|fp32|hipress|hitopkcomm|bytepscompress")
+		iters      = fs.Int("iters", 2, "iterations to execute on the data plane")
+		scale      = fs.Int("scale", 4096, "elements per simulated tensor on the data plane")
+		gantt      = fs.Bool("gantt", true, "print the derived timeline")
+		traceOut   = fs.String("trace-out", "", "write a Chrome trace-event JSON file of the derived timeline")
+		metrOut    = fs.String("metrics-out", "", "write a metrics-registry JSON file")
+		explain    = fs.Bool("explain", false, "print the selector's per-tensor decision log (espresso system only)")
+		analyzeOut = fs.String("analyze-out", "", "write an iteration-profile JSON (critical path, device stats, phase breakdown)")
+		chaosF     = fs.String("chaos", "", "fault-injection plan JSON; iterations run against the faulted network with retry/timeout recovery")
+		chaosOut   = fs.String("chaos-report", "", "write the chaos run report JSON (requires -chaos)")
+		chaosDet   = fs.Bool("deterministic", false, "zero wall-clock fields in the chaos report so same-seed reruns are byte-identical")
+		listenF    = fs.String("listen", "", "serve /metrics, /healthz, and /debug/pprof on this address during the run (e.g. 127.0.0.1:9090)")
 	)
-	var logf logx.Flags
-	logf.Register(nil)
-	flag.Parse()
-	log = logf.Logger()
-
-	// A job file is the whole job; the spec flags describe one otherwise.
-	// -parallel and -explain steer the search either way.
-	j := job.Job{
-		Model:     job.ModelSpec{Preset: *modelF},
-		Cluster:   job.ClusterSpec{Preset: *clusterF, Machines: *machines, GPUsPerMachine: *gpus},
-		Algorithm: job.AlgorithmSpec{Name: *algo, Ratio: *ratio},
-	}
-	if *jobF != "" {
-		var err error
-		if j, err = job.Load(*jobF); err != nil {
-			fatal(err)
-		}
-	}
-	j.Parallelism, j.Explain = par.Workers(*parallel), *explain
-	cs, err := job.Resolve(j)
-	if err != nil {
-		fatal(err)
-	}
+	parse(fs, args)
+	cs := jf.resolve(*explain)
 	m, c, spec := cs.Model, cs.Cluster, cs.Spec
 
 	// Telemetry sinks, active when either output flag is set. The
@@ -93,58 +58,22 @@ func main() {
 	if *traceOut != "" || *analyzeOut != "" {
 		trace = obs.NewTrace()
 	}
-	if *traceOut != "" || *metrOut != "" || *listen != "" {
+	if *traceOut != "" || *metrOut != "" || *listenF != "" {
 		metrics = obs.NewMetrics()
 	}
-	if *listen != "" {
-		srv, err := serve.Start(*listen, metrics)
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		log.Info("observability endpoint up", "url", srv.URL)
-	}
+	defer listen(*listenF, metrics).Close()
 
-	// Pick the strategy.
-	var s *strategy.Strategy
-	if *system == "espresso" {
-		sel, err := cs.Selector()
-		if err != nil {
-			fatal(err)
-		}
-		sel.Obs = metrics
-		var rep *core.Report
-		if s, rep, err = sel.Select(); err != nil {
-			fatal(err)
-		}
+	pl := pick(cs, *system, trace, metrics)
+	s, res := pl.s, pl.res
+	if rep := pl.rep; rep != nil {
 		fmt.Printf("selected strategy in %v: %d/%d tensors compressed, %d offloaded\n",
 			rep.SelectionTime, rep.Compressed, m.NumTensors(), rep.Offloaded)
 		if len(rep.Decisions) > 0 {
 			core.WriteDecisions(os.Stdout, rep.Decisions)
 		}
-	} else {
-		sys, err := baselines.ByName(*system)
-		if err != nil {
-			fatal(err)
-		}
-		if s, err = baselines.Strategy(sys, m, c, cs.Costs); err != nil {
-			fatal(err)
-		}
-	}
-
-	// Derive the timeline.
-	eng := timeline.New(m, c, cs.Costs)
-	res, err := eng.Evaluate(s)
-	if err != nil {
-		fatal(err)
 	}
 	fmt.Printf("predicted iteration time: %v (throughput %.0f %s/s)\n",
 		res.Iter, core.Throughput(m, c, res.Iter), m.BatchUnit)
-	if trace != nil || metrics != nil {
-		if err := eng.Observe(trace, metrics, res, s); err != nil {
-			fatal(err)
-		}
-	}
 	// Snapshot the engine's spans for the analyzer now: the netsim
 	// cross-check below overlays link spans on the trace that are a
 	// diagnostic, not part of the iteration, and must not enter the
@@ -175,8 +104,8 @@ func main() {
 		if runner, err = chaos.NewRunner(m, c, spec, s, plan); err != nil {
 			fatal(err)
 		}
-		runner.Parallelism = j.Parallelism
-		runner.Explain = j.Explain
+		runner.Parallelism = cs.Job.Parallelism
+		runner.Explain = cs.Job.Explain
 		runner.Trace = trace
 		runner.Metrics = metrics
 		runner.Deterministic = *chaosDet
@@ -193,8 +122,7 @@ func main() {
 		x.Wire = runner.WireConfig()
 	}
 	rng := rand.New(rand.NewSource(1))
-	dataC := c
-	total := dataC.TotalGPUs()
+	total := c.TotalGPUs()
 	seenEvents := 0
 	for it := 0; it < *iters; it++ {
 		if runner != nil {
@@ -222,16 +150,9 @@ func main() {
 			// data plane on the surviving topology and follow the (possibly
 			// re-selected) strategy.
 			if events := runner.Report().Membership; len(events) > seenEvents {
-				for _, ev := range events[seenEvents:] {
-					fmt.Printf("membership change at %v (%s): left=%v joined=%v -> %d machines (barrier %d attempts, %v)\n",
-						ev.Time, ev.Detected, ev.Left, ev.Joined, len(ev.Members), ev.BarrierAttempts, ev.BarrierTime)
-					if rs := ev.Reselection; rs != nil {
-						fmt.Printf("  re-selected on %d machines: %v -> %v (%.1f%% better, adopted=%v)\n",
-							len(ev.Members), rs.Before, rs.After, 100*rs.Improvement, rs.Adopted)
-					}
-				}
+				printMembership(events[seenEvents:])
 				seenEvents = len(events)
-				dataC = runner.ActiveCluster()
+				dataC := runner.ActiveCluster()
 				if x, err = ddl.NewExecutor(dataC, spec); err != nil {
 					fatal(err)
 				}
@@ -307,33 +228,4 @@ func main() {
 		}
 		fmt.Printf("wrote metrics to %s\n", *metrOut)
 	}
-}
-
-// writeChaosReport writes the chaos run report when requested; it is
-// also invoked on the error path so an aborted run leaves evidence.
-func writeChaosReport(runner *chaos.Runner, path string) {
-	if path == "" {
-		return
-	}
-	if err := runner.Report().WriteJSON(path); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote chaos report to %s\n", path)
-}
-
-// writeFile streams one telemetry artifact to path.
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func fatal(err error) {
-	logx.Fatal(log, err.Error())
 }

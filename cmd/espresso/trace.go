@@ -1,50 +1,39 @@
-// Command espresso-trace runs the offline profiling stage (§4.3): it
-// collects simulated execution traces for a model (100-iteration
-// averaging), prints its tensor-size census, and measures the real
-// wall-clock compression profile of this library's algorithms on the
-// current host.
-//
-//	espresso-trace -model bert-base -algo efsignsgd -reps 20
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
-	"log/slog"
-	"os"
 	"time"
 
 	"espresso/internal/job"
-	"espresso/internal/logx"
 	"espresso/internal/obs"
 	"espresso/internal/trace"
 )
 
-// log carries the CLI's structured stderr diagnostics; built in main
-// from the shared -log-level/-log-json flags.
-var log *slog.Logger
-
-func main() {
+// runTrace runs the offline profiling stage (§4.3): it collects
+// simulated execution traces for a model (100-iteration averaging),
+// prints its tensor-size census, and measures the real wall-clock
+// compression profile of this library's algorithms on the current host.
+// It resolves no cluster, so it takes only -model, -algo and -ratio of
+// the Job spec flags.
+//
+//	espresso trace -model bert-base -algo efsignsgd -reps 20
+func runTrace(fs *flag.FlagSet, args []string) {
+	j := job.Job{
+		Model:     job.ModelSpec{Preset: "bert-base"},
+		Algorithm: job.AlgorithmSpec{Name: "efsignsgd", Ratio: 0.01},
+	}
+	addSpecFlags(fs, &j)
 	var (
-		modelF   = flag.String("model", "bert-base", "model preset")
-		algo     = flag.String("algo", "efsignsgd", "GC algorithm to profile")
-		ratio    = flag.Float64("ratio", 0.01, "sparsifier ratio")
-		iters    = flag.Int("iters", 100, "trace iterations (the paper uses 100)")
-		jitter   = flag.Float64("jitter", 0.03, "simulated per-iteration measurement noise")
-		reps     = flag.Int("reps", 10, "compression profiling repetitions per size")
-		traceOut = flag.String("trace-out", "", "write the averaged backward pass as Chrome trace-event JSON")
-		metrOut  = flag.String("metrics-out", "", "write profiling metrics as JSON")
+		iters    = fs.Int("iters", 100, "trace iterations (the paper uses 100)")
+		jitter   = fs.Float64("jitter", 0.03, "simulated per-iteration measurement noise")
+		reps     = fs.Int("reps", 10, "compression profiling repetitions per size")
+		traceOut = fs.String("trace-out", "", "write the averaged backward pass as Chrome trace-event JSON")
+		metrOut  = fs.String("metrics-out", "", "write profiling metrics as JSON")
 	)
-	var logf logx.Flags
-	logf.Register(nil)
-	flag.Parse()
-	log = logf.Logger()
+	parse(fs, args)
 
-	cs, err := job.Resolve(job.Job{
-		Model:     job.ModelSpec{Preset: *modelF},
-		Algorithm: job.AlgorithmSpec{Name: *algo, Ratio: *ratio},
-	})
+	cs, err := job.Resolve(j)
 	if err != nil {
 		fatal(err)
 	}
@@ -119,21 +108,4 @@ func main() {
 		}
 		fmt.Printf("wrote profiling metrics to %s\n", *metrOut)
 	}
-}
-
-// writeFile streams one telemetry artifact to path.
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func fatal(err error) {
-	logx.Fatal(log, err.Error())
 }

@@ -262,7 +262,7 @@ type MonitorConfig struct {
 }
 
 // Plan is a complete fault schedule plus recovery and detection
-// configuration — the JSON file espresso-sim -chaos loads.
+// configuration — the JSON file espresso sim -chaos loads.
 type Plan struct {
 	// Seed drives every random draw (message loss, payload corruption).
 	Seed uint64 `json:"seed"`

@@ -122,7 +122,7 @@ type Reselection struct {
 // worse than prior under the degraded cost models; Adopted is set when
 // it is strictly better.
 func Reselect(m *model.Model, c *cluster.Cluster, spec compress.Spec, prior *strategy.Strategy, opt ReselectOptions) (*strategy.Strategy, *Reselection, error) {
-	if opt.InterScale <= 0 || opt.InterScale > 1 {
+	if !(opt.InterScale > 0 && opt.InterScale <= 1) { // rejects NaN too
 		return nil, nil, fmt.Errorf("chaos: inter-machine scale %g, want (0, 1]", opt.InterScale)
 	}
 	gpuS, cpuS := opt.GPUScale, opt.CPUScale

@@ -156,7 +156,7 @@ func (r *Runner) Clock() time.Duration { return r.clock }
 
 // ActiveCluster is the cluster restricted to the current membership —
 // the full cluster until a rank leaves. Data planes sized to the
-// topology (espresso-sim's DDL executor) rebuild when it changes.
+// topology (espresso sim's DDL executor) rebuild when it changes.
 func (r *Runner) ActiveCluster() *cluster.Cluster { return r.curC }
 
 // Members lists the surviving global ranks, ascending.

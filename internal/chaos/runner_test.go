@@ -3,8 +3,10 @@ package chaos
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -230,6 +232,28 @@ func TestReselectParallelismInvariant(t *testing.T) {
 		if runs[0].after != runs[i].after {
 			t.Fatalf("parallelism changed the predicted time: %v vs %v", runs[0].after, runs[i].after)
 		}
+	}
+}
+
+// Reselect accepts only an inter-machine scale in (0, 1] and device
+// scales of at least 1 (0 means unset); NaN is out of range everywhere.
+func TestReselectRejectsBadScales(t *testing.T) {
+	m := commBound()
+	c := cluster.NVLinkTestbed(2)
+	prior := healthySelect(t, m, c)
+	nan := math.NaN()
+	for _, opt := range []ReselectOptions{
+		{InterScale: 0}, {InterScale: -0.5}, {InterScale: 1.5}, {InterScale: nan},
+		{InterScale: 0.5, GPUScale: nan}, {InterScale: 0.5, CPUScale: nan},
+	} {
+		// The error must be the range check's, not a later failure of
+		// the degraded pipeline.
+		if _, _, err := Reselect(m, c, dgc(), prior, opt); err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("Reselect(%+v): err = %v, want a scale range error", opt, err)
+		}
+	}
+	if _, _, err := Reselect(m, c, dgc(), prior, ReselectOptions{InterScale: 1}); err != nil {
+		t.Errorf("Reselect rejected an undegraded topology: %v", err)
 	}
 }
 

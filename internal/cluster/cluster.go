@@ -124,7 +124,7 @@ func (c *Cluster) Clone() *Cluster {
 // snapshot the chaos controller feeds back into strategy selection.
 // Scales must be in (0, 1]: a fault can only remove bandwidth.
 func (c *Cluster) WithBandwidthScale(intra, inter float64) (*Cluster, error) {
-	if intra <= 0 || intra > 1 || inter <= 0 || inter > 1 {
+	if !(intra > 0 && intra <= 1 && inter > 0 && inter <= 1) { // rejects NaN too
 		return nil, fmt.Errorf("cluster: bandwidth scales %g/%g, want (0, 1]", intra, inter)
 	}
 	out := c.Clone()

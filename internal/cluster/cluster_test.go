@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -77,6 +78,23 @@ func TestClusterString(t *testing.T) {
 	for _, want := range []string{"8 machines", "NVLink", "Gbps"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q missing %q", s, want)
+		}
+	}
+}
+
+func TestWithBandwidthScaleRange(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		intra, inter float64
+		ok           bool
+	}{
+		{1, 1, true}, {0.5, 0.1, true},
+		{0, 1, false}, {1, 0, false}, {-1, 1, false}, {1, 1.5, false}, {inf, 1, false},
+		{nan, 1, false}, {1, nan, false},
+	} {
+		_, err := NVLinkTestbed(2).WithBandwidthScale(tc.intra, tc.inter)
+		if (err == nil) != tc.ok {
+			t.Errorf("WithBandwidthScale(%g, %g): err = %v, want ok=%v", tc.intra, tc.inter, err, tc.ok)
 		}
 	}
 }

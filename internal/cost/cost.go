@@ -259,7 +259,7 @@ func NewModels(c *cluster.Cluster, spec compress.Spec) (*Models, error) {
 // device (thermal throttling, contended cores). Scales must be >= 1: a
 // fault can only make a device slower.
 func (m *Models) WithDeviceScale(gpuScale, cpuScale float64) (*Models, error) {
-	if gpuScale < 1 || cpuScale < 1 {
+	if !(gpuScale >= 1 && cpuScale >= 1) { // rejects NaN too
 		return nil, fmt.Errorf("cost: device scales %g/%g, want >= 1", gpuScale, cpuScale)
 	}
 	out := *m

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -212,3 +213,21 @@ func TestFlatLinkUsesNICShare(t *testing.T) {
 
 // RandomKSpec is a convenience used by several cost tests.
 var RandomKSpec = compress.Spec{ID: compress.RandomK, Ratio: 0.01}
+
+func TestWithDeviceScaleRange(t *testing.T) {
+	m := MustModels(cluster.NVLinkTestbed(2), compress.Spec{ID: compress.DGC, Ratio: 0.01})
+	nan := math.NaN()
+	for _, tc := range []struct {
+		gpu, cpu float64
+		ok       bool
+	}{
+		{1, 1, true}, {2, 3.5, true},
+		{0.5, 1, false}, {1, 0, false}, {-2, 1, false},
+		{nan, 1, false}, {1, nan, false},
+	} {
+		_, err := m.WithDeviceScale(tc.gpu, tc.cpu)
+		if (err == nil) != tc.ok {
+			t.Errorf("WithDeviceScale(%g, %g): err = %v, want ok=%v", tc.gpu, tc.cpu, err, tc.ok)
+		}
+	}
+}

@@ -38,7 +38,7 @@ type BenchModel struct {
 	Speedup float64 `json:"speedup_vs_fp32"`
 }
 
-// BenchSummary is the -json-out payload of espresso-bench: one entry per
+// BenchSummary is the -json-out payload of espresso bench: one entry per
 // benchmark model on a fixed testbed and algorithm, stamped with the run
 // context (host, build, wall clock) that makes selection times
 // comparable across the BENCH_*.json trajectory.

@@ -88,26 +88,18 @@ func iterTimeWorkers(sys System, m *model.Model, c *cluster.Cluster, cm *cost.Mo
 		return rep.Iter, nil
 	case SysUpperBound:
 		return core.UpperBound(m, c, cm)
-	default:
-		var bl baselines.System
-		switch sys {
-		case SysFP32:
-			bl = baselines.FP32
-		case SysBytePSCompress:
-			bl = baselines.BytePSCompress
-		case SysHiTopKComm:
-			bl = baselines.HiTopKComm
-		case SysHiPress:
-			bl = baselines.HiPress
-		default:
-			return 0, fmt.Errorf("experiments: unknown system %q", sys)
-		}
-		s, err := baselines.Strategy(bl, m, c, cm)
-		if err != nil {
-			return 0, err
-		}
-		return evalStrategy(m, c, cm, s)
 	}
+	// The comparator systems share their display names with baselines.
+	for _, bl := range baselines.All {
+		if bl.String() == string(sys) {
+			s, err := baselines.Strategy(bl, m, c, cm)
+			if err != nil {
+				return 0, err
+			}
+			return evalStrategy(m, c, cm, s)
+		}
+	}
+	return 0, fmt.Errorf("experiments: unknown system %q", sys)
 }
 
 func evalStrategy(m *model.Model, c *cluster.Cluster, cm *cost.Models, s *strategy.Strategy) (time.Duration, error) {

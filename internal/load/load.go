@@ -1,5 +1,5 @@
 // Package load is the wall-clock load-test harness behind
-// cmd/espresso-load: it drives sustained concurrent strategy selection —
+// espresso load: it drives sustained concurrent strategy selection —
 // the serving hot path every scale item in the roadmap optimizes — over
 // seeded workloads from internal/gen, and reduces the run to the numbers
 // the BENCH_*.json trajectory tracks: sustained selections/sec,
@@ -72,7 +72,7 @@ type Config struct {
 	// records (request-ID-correlated at LevelDebug). Nil runs silent.
 	Log *slog.Logger
 	// Target, when non-empty, switches the harness from in-process
-	// selection to driving a live espresso-serve endpoint (e.g.
+	// selection to driving a live espresso serve endpoint (e.g.
 	// "http://127.0.0.1:8080") through the typed client: the measured
 	// latency is then end-to-end HTTP, and allocation numbers describe
 	// the client process only. The generator bounds must fit the
@@ -122,7 +122,7 @@ type Result struct {
 	Seed        uint64  `json:"seed"`
 	Parallelism int     `json:"select_parallelism"`
 	DurationS   float64 `json:"duration_s"`
-	// Target names the espresso-serve endpoint the run drove, or empty
+	// Target names the espresso serve endpoint the run drove, or empty
 	// for in-process selection — two runs are only comparable in the
 	// same mode.
 	Target string `json:"target,omitempty"`

@@ -11,7 +11,7 @@ import (
 	"espresso/internal/store"
 )
 
-// TestRunAgainstTarget drives a live espresso-serve instance through
+// TestRunAgainstTarget drives a live espresso serve instance through
 // the harness's -target mode: selections go over HTTP via the typed
 // client, and every completed request left a persisted report behind.
 func TestRunAgainstTarget(t *testing.T) {

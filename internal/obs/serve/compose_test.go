@@ -19,7 +19,7 @@ import (
 // TestOptionComposition mounts WithFlight and two WithHandler mounts on
 // one listener and checks every surface answers: the API mount, the
 // flight listing, /metrics, /healthz, and the index advertising all of
-// them. This is exactly how espresso-serve composes its mux.
+// them. This is exactly how espresso serve composes its mux.
 func TestOptionComposition(t *testing.T) {
 	m := obs.NewMetrics()
 	m.Counter("compose.hits").Inc()

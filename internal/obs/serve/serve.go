@@ -3,8 +3,8 @@
 // Prometheus text format on /metrics, a liveness probe on /healthz, the
 // Go runtime profiler on /debug/pprof, and — when a flight recorder is
 // attached — the selection flight recorder on /debug/flight. Every
-// long-running command (espresso-bench, espresso-sim, espresso-verify,
-// espresso-load) mounts it behind a -listen flag, so any run can be
+// long-running command (espresso bench, espresso sim, espresso verify,
+// espresso load) mounts it behind a -listen flag, so any run can be
 // scraped and profiled while it works:
 //
 //	curl http://127.0.0.1:9090/metrics
@@ -172,12 +172,18 @@ func Start(addr string, m *obs.Metrics, opts ...Option) (*Server, error) {
 }
 
 // Close stops the server and releases the port. In-flight scrapes are
-// cut off; the CLIs call this on exit, where that is the point.
-func (s *Server) Close() error { return s.srv.Close() }
+// cut off; the CLIs call this on exit, where that is the point. Closing
+// a nil Server, one never started, does nothing.
+func (s *Server) Close() error {
+	if s == nil {
+		return nil
+	}
+	return s.srv.Close()
+}
 
 // Shutdown stops accepting new connections and waits for in-flight
 // requests to drain, up to ctx's deadline — the graceful counterpart to
-// Close, used by espresso-serve so a selection mid-flight completes and
+// Close, used by espresso serve so a selection mid-flight completes and
 // its report is persisted before the process exits. When the context
 // expires first the remaining connections are cut and ctx.Err is
 // returned.

@@ -3,7 +3,7 @@
 // the discrete-event timeline engine and the closed-form oracle, and
 // checks the selector against baselines, metamorphic invariants, and
 // exhaustive references. Every failure carries the generated case's seed,
-// so `espresso-verify -cases 1 -seed <seed>` replays exactly the failing
+// so `espresso verify -cases 1 -seed <seed>` replays exactly the failing
 // case.
 //
 // The checks, by name:
@@ -94,7 +94,7 @@ func (c Config) withDefaults() Config {
 
 // Failure is one violated assertion.
 type Failure struct {
-	// Seed reproduces the case: espresso-verify -cases 1 -seed <Seed>.
+	// Seed reproduces the case: espresso verify -cases 1 -seed <Seed>.
 	Seed  uint64
 	Check string
 	// Detail describes the violation, including the generated case.
@@ -102,7 +102,7 @@ type Failure struct {
 }
 
 func (f Failure) String() string {
-	return fmt.Sprintf("FAIL [%s] %s\n  reproduce: espresso-verify -cases 1 -seed %d", f.Check, f.Detail, f.Seed)
+	return fmt.Sprintf("FAIL [%s] %s\n  reproduce: espresso verify -cases 1 -seed %d", f.Check, f.Detail, f.Seed)
 }
 
 // Summary aggregates a harness run.

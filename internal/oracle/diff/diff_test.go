@@ -8,7 +8,7 @@ import (
 // A small harness run inside go test: every differential check must
 // hold on the first batch of generated cases, so a regression in the
 // engine, selector, or oracle fails `go test ./...` even before the CI
-// gate runs cmd/espresso-verify at full depth.
+// gate runs espresso verify at full depth.
 func TestHarnessSmoke(t *testing.T) {
 	sum, err := Run(Config{Cases: 25, Seed: 1})
 	if err != nil {
@@ -37,7 +37,7 @@ func TestHarnessSmoke(t *testing.T) {
 func TestFailurePrintsReproSeed(t *testing.T) {
 	f := Failure{Seed: 42, Check: "bracket", Detail: "engine above upper bound"}
 	s := f.String()
-	if !strings.Contains(s, "espresso-verify -cases 1 -seed 42") {
+	if !strings.Contains(s, "espresso verify -cases 1 -seed 42") {
 		t.Fatalf("failure string %q lacks the reproduction command", s)
 	}
 }

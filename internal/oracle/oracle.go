@@ -6,7 +6,7 @@
 // machinery and no code shared with internal/timeline.
 //
 // Its purpose is differential testing (internal/oracle/diff,
-// cmd/espresso-verify): on a contention-free single-chain workload the
+// espresso verify): on a contention-free single-chain workload the
 // engine's iteration time must equal the oracle's serial sum, and on any
 // workload the engine must land inside the oracle's [LowerBound,
 // SerialIter] bracket. If the engine's chain derivation or the α–β

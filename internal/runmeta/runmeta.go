@@ -2,7 +2,7 @@
 // was measured in. Wall-clock results (selection times, sustained
 // selections/sec) are only comparable across the BENCH_*.json trajectory
 // when each file records the host and build that produced it; Meta is
-// that record, shared by espresso-bench and espresso-load.
+// that record, shared by espresso bench and espresso load.
 package runmeta
 
 import (
@@ -18,7 +18,7 @@ type Meta struct {
 	// Date is the run's start time in UTC, RFC 3339.
 	Date string `json:"date"`
 	// Seed is the workload seed for randomized harnesses; 0 means the
-	// workload is fixed (espresso-bench's model zoo is deterministic).
+	// workload is fixed (espresso bench's model zoo is deterministic).
 	Seed       uint64 `json:"seed"`
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`

@@ -1,5 +1,5 @@
 // Package serve implements the selection-as-a-service JSON API behind
-// cmd/espresso-serve: synchronous Select/Predict, asynchronous chaos and
+// espresso serve: synchronous Select/Predict, asynchronous chaos and
 // verify jobs on a bounded worker pool, and persisted report
 // retrieval/diffing, all backed by the internal/store write-ahead store
 // so results survive restarts.

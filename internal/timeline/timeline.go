@@ -141,7 +141,7 @@ func (r *Result) AppendBubbleTensors(res Resource, dst []int) []int {
 	return dst
 }
 
-// Gantt renders a human-readable timeline (for cmd/espresso-sim and the
+// Gantt renders a human-readable timeline (for espresso sim and the
 // didactic examples).
 func (r *Result) Gantt() string {
 	out := ""

@@ -69,7 +69,7 @@ func (t *Telemetry) observe(c *job.Case, s *Strategy) error {
 func SelectTraced(j Job, tel *Telemetry) (*Strategy, *Report, error) {
 	if tel != nil {
 		// Wall clock, not virtual time: api.* series observe the
-		// process's own performance, the quantity espresso-load drives.
+		// process's own performance, the quantity espresso load drives.
 		defer tel.metrics.Timer("api.select.wall_seconds")()
 	}
 	c, err := job.Resolve(j)

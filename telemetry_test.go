@@ -37,7 +37,7 @@ func TestSelectTracedOnBERTConfig(t *testing.T) {
 	if err := json.Unmarshal(data, &job); err != nil {
 		t.Fatal(err)
 	}
-	// espresso-sim's data-plane scale: at 2 GPUs per machine the BERT
+	// espresso sim's data-plane scale: at 2 GPUs per machine the BERT
 	// selection offloads compression to CPUs, so the offload and decode
 	// phases appear in the trace alongside the rest.
 	job.Cluster.GPUsPerMachine = 2
