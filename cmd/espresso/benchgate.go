@@ -29,13 +29,10 @@ import (
 )
 
 // runBenchgate compares `go test -bench` output against a checked-in
-// baseline and fails (exit 1) on regression. It gates two quantities
-// with independent tolerances: wall-clock ns/op (hardware dependent —
-// use a strict tolerance only when baseline and current ran on the same
-// machine) and allocs/op (deterministic — strict everywhere; this is the
-// gate that protects the allocation-free selection hot path). Baseline
-// benchmarks missing from the current run also fail, so a deleted
-// benchmark cannot silently retire its gate.
+// baseline and fails (exit 1) on regression, with one tolerance for
+// ns/op and one for allocs/op. Baseline benchmarks missing from the
+// current run also fail, so a deleted benchmark cannot silently retire
+// its gate.
 //
 //	go test -bench 'Selection|Timeline' -benchmem -run '^$' . > bench.txt
 //	espresso benchgate -current bench.txt -max-slowdown 0.15 -max-alloc-growth 0.0
